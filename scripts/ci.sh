@@ -28,9 +28,17 @@
 #
 # The `multiexp` mode is the multi-exponentiation crypto leg: the
 # differential suite (Straus/Pippenger/fixed-base vs naive Group::exp on
-# every group family), the batched-inversion KATs and the accel-on vs
-# accel-off bit-identity test run under ASan+UBSan — index arithmetic over
-# window digits and bucket arrays is exactly the surface ASan watches.
+# every group family), the batched-inversion KATs, the accel-on vs
+# accel-off bit-identity test, the limb-level Jacobi symbol against GMP
+# (mpz_modular_test) and the parallel set-decode fault determinism tests
+# (parallel_determinism_test) run under ASan+UBSan — index arithmetic over
+# window digits, bucket arrays and in-place limb buffers is exactly the
+# surface ASan watches.
+#
+# The `repeat` mode reruns the threaded suites (telemetry, engine, parallel
+# determinism, thread pool) under TSan until one fails, up to 20 times each:
+# a race that needs an unlucky interleaving on a multi-core host shows up
+# here instead of as a one-in-five flake elsewhere.
 #
 # The `telemetry` mode is the live-observability leg: the telemetry suite
 # (sampler lifecycle, concurrent snapshot-vs-absorb races, the telemetry-off
@@ -71,13 +79,14 @@
 # socket E2E tests run again under TSan — per-peer reader threads feeding
 # inboxes while protocol threads send is exactly the surface TSan watches.
 #
-# Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|all]
+# Usage: scripts/ci.sh [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|repeat|audit|sockets|bench-regress|all]
 #        (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 MODE="${1:-all}"
+REPEAT_SUITES='telemetry|engine|parallel_determinism|runtime_pool'
 
 run_leg() {
   local preset="$1"
@@ -153,8 +162,9 @@ case "${MODE}" in
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism' ;;
+  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|mpz_modular' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
+  repeat) run_leg tsan -R "${REPEAT_SUITES}" --repeat until-fail:20 ;;
   audit)
     run_leg asan -R 'flightrec|audit_test|server_cli'
     run_leg tsan -R 'flightrec'
@@ -170,12 +180,13 @@ case "${MODE}" in
     run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property'
     run_leg tsan -R 'engine'
     run_leg tsan -R 'telemetry|engine_fault'
+    run_leg tsan -R "${REPEAT_SUITES}" --repeat until-fail:20
     run_leg tsan -R 'flightrec'
     run_leg tsan -R 'tcp_transport'
     bench_regress
     ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|audit|sockets|bench-regress|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|engine|metrics|chaos|multiexp|telemetry|repeat|audit|sockets|bench-regress|all]" >&2
     exit 2
     ;;
 esac

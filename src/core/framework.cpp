@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 
 #include "core/codec.h"
@@ -100,6 +101,15 @@ class Obs {
     return guard;
   }
 
+  /// Span-less task() for orchestrator work fanned out over the pool (the
+  /// wire decode of received sets): counts land in the task's buffer under
+  /// the orchestrator's (phase, party) context, exactly as if the work had
+  /// run inline. A no-op scope when disabled.
+  [[nodiscard]] runtime::MetricsScope orch_task(std::size_t idx) {
+    return runtime::MetricsScope{on() ? &mbufs_[idx] : nullptr, phase_,
+                                 runtime::kOrchestratorParty};
+  }
+
   /// Absorbs the staged buffers in task-index order. Must run while the
   /// enclosing step span is still open so task spans nest under it.
   void collect() {
@@ -130,6 +140,24 @@ class Obs {
   std::vector<runtime::MetricsBuffer> mbufs_;
   std::vector<runtime::SpanBuffer> sbufs_;
 };
+
+// Decodes wire[s] into sets[s] in place, one set per pool task; each image
+// must hold exactly sets[s].size() ciphertexts. Decode counts are staged per
+// task and absorbed in set order. When several sets fail validation the
+// lowest-index set's error surfaces (pool contract) — the error a serial
+// decode in set order raises.
+void decode_sets(runtime::ThreadPool& pool, Obs& obs, const Group& g,
+                 std::span<const std::span<const std::uint8_t>> wire,
+                 std::span<CipherSet> sets) {
+  obs.stage(sets.size());
+  pool.parallel_for(sets.size(), [&](std::size_t s) {
+    const auto scope = obs.orch_task(s);
+    runtime::Reader r{wire[s]};
+    crypto::read_ciphertext_seq(r, g, sets[s]);
+    r.finish();
+  });
+  obs.collect();
+}
 
 }  // namespace
 
@@ -997,15 +1025,16 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
     // all n-1 peers (transmit: identical copies, counted per link) and is
     // decoded once — every evaluator compares against the same validated
     // wire image (DESIGN.md Sec. 5d).
-    for (std::size_t j = 0; j < n; ++j) {
-      runtime::Writer w;
-      crypto::write_ciphertext_seq(w, g, beta_bits[j]);
-      const std::size_t bytes = w.size();
-      for (std::size_t peer = 1; peer <= n; ++peer)
-        if (peer != j + 1) router.transmit(j + 1, peer, bytes);
-      runtime::Reader r{w.data()};
-      beta_bits[j] = crypto::read_ciphertext_seq(r, g, l);
-      r.finish();
+    {
+      std::vector<runtime::Writer> writers(n);
+      std::vector<std::span<const std::uint8_t>> wire(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        crypto::write_ciphertext_seq(writers[j], g, beta_bits[j]);
+        for (std::size_t peer = 1; peer <= n; ++peer)
+          if (peer != j + 1) router.transmit(j + 1, peer, writers[j].size());
+        wire[j] = writers[j].data();
+      }
+      decode_sets(pool, obs, g, wire, beta_bits);
     }
     router.next_round();
 
@@ -1038,11 +1067,14 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
       router.channel(j + 1, 1).send(std::move(w));
     }
     router.next_round();
-    for (std::size_t j = 1; j < n; ++j) {
-      const auto payload = router.channel(j + 1, 1).receive();
-      runtime::Reader r{*payload};
-      v_sets[j] = crypto::read_ciphertext_seq(r, g, v_sets[j].size());
-      r.finish();
+    {
+      std::vector<Payload> payloads;
+      std::vector<std::span<const std::uint8_t>> wire;
+      for (std::size_t j = 1; j < n; ++j) {
+        payloads.push_back(router.channel(j + 1, 1).receive());
+        wire.emplace_back(*payloads.back());
+      }
+      decode_sets(pool, obs, g, wire, std::span(v_sets).subspan(1));
     }
 
     // Step 8: the decrypt-shuffle chain P1 -> P2 -> ... -> Pn. Hops are
@@ -1064,15 +1096,22 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
       obs.collect();
       if (hop + 1 < n) {
         // Forward the whole vector V to the next participant, who decodes
-        // it before its own hop.
+        // it before its own hop: the length is checked for the whole
+        // vector, then each set decodes as its own task.
         runtime::Writer w;
         for (const auto& s : v_sets) crypto::write_ciphertext_seq(w, g, s);
         router.channel(hop + 1, hop + 2).send(std::move(w));
         router.next_round();
         const auto payload = router.channel(hop + 1, hop + 2).receive();
+        const std::size_t set_bytes =
+            (n - 1) * l * crypto::ciphertext_wire_bytes(g);
         runtime::Reader r{*payload};
-        for (auto& s : v_sets) s = crypto::read_ciphertext_seq(r, g, s.size());
+        const auto all = r.raw(n * set_bytes);
         r.finish();
+        std::vector<std::span<const std::uint8_t>> wire;
+        for (std::size_t s = 0; s < n; ++s)
+          wire.push_back(all.subspan(s * set_bytes, set_bytes));
+        decode_sets(pool, obs, g, wire, v_sets);
       }
     }
     // P_n returns each set to its owner (P_n's own set stays put).
@@ -1082,11 +1121,14 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
       router.channel(n, owner + 1).send(std::move(w));
     }
     router.next_round();
-    for (std::size_t owner = 0; owner + 1 < n; ++owner) {
-      const auto payload = router.channel(n, owner + 1).receive();
-      runtime::Reader r{*payload};
-      v_sets[owner] = crypto::read_ciphertext_seq(r, g, v_sets[owner].size());
-      r.finish();
+    {
+      std::vector<Payload> payloads;
+      std::vector<std::span<const std::uint8_t>> wire;
+      for (std::size_t owner = 0; owner + 1 < n; ++owner) {
+        payloads.push_back(router.channel(n, owner + 1).receive());
+        wire.emplace_back(*payloads.back());
+      }
+      decode_sets(pool, obs, g, wire, std::span(v_sets).first(n - 1));
     }
   } catch (...) {
     rethrow_as_fault(Phase::kPhase2);

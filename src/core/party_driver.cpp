@@ -103,6 +103,13 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
     router.send(me, dst, w.take());
   };
   const auto recv = [&](std::size_t src) { return router.receive(src, me); };
+  // One fixed-width ciphertext set per message, decoded into `out` in place.
+  const auto read_set = [&](const std::vector<std::uint8_t>& bytes,
+                            CipherSet& out) {
+    runtime::Reader r{bytes};
+    crypto::read_ciphertext_seq(r, g, out);
+    r.finish();
+  };
 
   // ---------------------------------------------------------------------
   // Initiator (party 0): phase-1 gain answers, phase-3 collection. The
@@ -246,7 +253,7 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
       // Bitwise β encryption, broadcast. Like run_framework, the own bits
       // are re-decoded from their wire image so every evaluator (self
       // included) compares against the same validated bytes.
-      std::vector<std::vector<Ciphertext>> beta_bits(n);
+      std::vector<CipherSet> beta_bits(n, CipherSet(l));
       {
         std::vector<Ciphertext> own(l);
         for (std::size_t b = 0; b < l; ++b) {
@@ -258,17 +265,10 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
         const Payload payload = seal(std::move(w));
         for (std::size_t peer = 1; peer <= n; ++peer)
           if (peer != me) router.send(me, peer, payload);
-        runtime::Reader r{*payload};
-        beta_bits[me - 1] = crypto::read_ciphertext_seq(r, g, l);
-        r.finish();
+        read_set(*payload, beta_bits[me - 1]);
       }
-      for (std::size_t peer = 1; peer <= n; ++peer) {
-        if (peer == me) continue;
-        const Payload rx = recv(peer);
-        runtime::Reader r{*rx};
-        beta_bits[peer - 1] = crypto::read_ciphertext_seq(r, g, l);
-        r.finish();
-      }
+      for (std::size_t peer = 1; peer <= n; ++peer)
+        if (peer != me) read_set(*recv(peer), beta_bits[peer - 1]);
       router.next_round();
 
       // Comparison circuits: slot order and stream addressing mirror
@@ -285,14 +285,9 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
       // Flattened sets travel to P1, who opens the decrypt-shuffle chain.
       std::vector<CipherSet> v_sets;
       if (me == 1) {
-        v_sets.assign(n, CipherSet());
+        v_sets.assign(n, CipherSet((n - 1) * l));
         v_sets[0] = std::move(my_set);  // own set stays put (no wire image)
-        for (std::size_t q = 2; q <= n; ++q) {
-          const Payload rx = recv(q);
-          runtime::Reader r{*rx};
-          v_sets[q - 1] = crypto::read_ciphertext_seq(r, g, (n - 1) * l);
-          r.finish();
-        }
+        for (std::size_t q = 2; q <= n; ++q) read_set(*recv(q), v_sets[q - 1]);
       } else {
         runtime::Writer w;
         crypto::write_ciphertext_seq(w, g, my_set);
@@ -306,9 +301,8 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
       if (me > 1) {
         const Payload rx = recv(me - 1);
         runtime::Reader r{*rx};
-        v_sets.assign(n, CipherSet());
-        for (auto& s : v_sets)
-          s = crypto::read_ciphertext_seq(r, g, (n - 1) * l);
+        v_sets.assign(n, CipherSet((n - 1) * l));
+        for (auto& s : v_sets) crypto::read_ciphertext_seq(r, g, s);
         r.finish();
       }
       const std::size_t h0 = me - 1;
@@ -323,10 +317,8 @@ PartyResult run_party(const PartyConfig& cfg, const PartyInput& input,
         for (const auto& s : v_sets) crypto::write_ciphertext_seq(w, g, s);
         send_writer(me + 1, std::move(w));
         router.next_round();
-        const Payload rx = recv(n);
-        runtime::Reader r{*rx};
-        own_set = crypto::read_ciphertext_seq(r, g, (n - 1) * l);
-        r.finish();
+        own_set.resize((n - 1) * l);
+        read_set(*recv(n), own_set);
       } else {
         for (std::size_t owner0 = 0; owner0 + 1 < n; ++owner0) {
           runtime::Writer w;

@@ -33,24 +33,6 @@ Ciphertext read_ciphertext(Reader& r, const Group& g) {
   return ct;
 }
 
-void write_ciphertexts(Writer& w, const Group& g,
-                       std::span<const Ciphertext> cts) {
-  w.varint(cts.size());
-  for (const auto& ct : cts) write_ciphertext(w, g, ct);
-}
-
-std::vector<Ciphertext> read_ciphertexts(Reader& r, const Group& g) {
-  const std::uint64_t count = r.varint();
-  // Bound by what the input can actually hold — rejects length bombs.
-  if (count > r.remaining() / ciphertext_wire_bytes(g) + 1)
-    throw runtime::WireError("ciphertexts: length prefix exceeds input");
-  std::vector<Ciphertext> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i)
-    out.push_back(read_ciphertext(r, g));
-  return out;
-}
-
 void write_ciphertext_seq(Writer& w, const Group& g,
                           std::span<const Ciphertext> cts) {
   // Batch the whole set through serialize_many: identical bytes and the
@@ -65,15 +47,13 @@ void write_ciphertext_seq(Writer& w, const Group& g,
   w.raw(g.serialize_many(elems));
 }
 
-std::vector<Ciphertext> read_ciphertext_seq(Reader& r, const Group& g,
-                                            std::size_t count) {
-  if (count > r.remaining() / ciphertext_wire_bytes(g) + 1)
-    throw runtime::WireError("ciphertext_seq: count exceeds input");
-  std::vector<Ciphertext> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out.push_back(read_ciphertext(r, g));
-  return out;
+void read_ciphertext_seq(Reader& r, const Group& g, std::span<Ciphertext> out) {
+  const std::size_t eb = g.element_bytes();
+  const auto bytes = r.raw(out.size() * 2 * eb);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].c = g.deserialize(bytes.subspan(2 * i * eb, eb));
+    out[i].cp = g.deserialize(bytes.subspan((2 * i + 1) * eb, eb));
+  }
 }
 
 void write_transcript(Writer& w, const Group& g, const SchnorrTranscript& t) {

@@ -34,14 +34,11 @@ void write_ciphertext(Writer& w, const Group& g, const Ciphertext& ct);
 /// carries the bulk phase-2 traffic.
 void write_ciphertext_seq(Writer& w, const Group& g,
                           std::span<const Ciphertext> cts);
-[[nodiscard]] std::vector<Ciphertext> read_ciphertext_seq(Reader& r,
-                                                          const Group& g,
-                                                          std::size_t count);
-
-void write_ciphertexts(Writer& w, const Group& g,
-                       std::span<const Ciphertext> cts);
-[[nodiscard]] std::vector<Ciphertext> read_ciphertexts(Reader& r,
-                                                       const Group& g);
+/// Decodes out.size() ciphertexts into the existing slots of `out`. The
+/// whole sequence's length is checked before any element is decoded
+/// (WireError "wire: truncated input"); elements are then validated in
+/// order, so the first invalid one is the error raised.
+void read_ciphertext_seq(Reader& r, const Group& g, std::span<Ciphertext> out);
 
 void write_transcript(Writer& w, const Group& g, const SchnorrTranscript& t);
 [[nodiscard]] SchnorrTranscript read_transcript(Reader& r, const Group& g);

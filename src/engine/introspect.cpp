@@ -42,11 +42,13 @@ void append_kind_latency(std::string& out, const char* kind,
 
 EngineSnapshot snapshot(SessionEngine& engine, double stall_deadline_s) {
   EngineSnapshot out;
-  const double now = runtime::metrics_now_seconds();
   out.stall_deadline_s = stall_deadline_s;
   {
+    // Every clock read happens under mu_ (drivers stamp start_s under it)
+    // and, per session, after its progress view is loaded, so no elapsed
+    // time can come out negative.
     const std::lock_guard<std::mutex> lock(engine.mu_);
-    out.uptime_s = now - engine.born_s_;
+    out.uptime_s = runtime::metrics_now_seconds() - engine.born_s_;
     out.queued = engine.queue_.size();
     out.in_flight = engine.active_;
     out.completed = engine.summaries_.size() + engine.failed_.size();
@@ -60,6 +62,7 @@ EngineSnapshot snapshot(SessionEngine& engine, double stall_deadline_s) {
     out.sessions.reserve(engine.live_.size());
     for (const auto& [sid, live] : engine.live_) {
       const runtime::ProgressCell::View v = live->progress.view();
+      const double now = runtime::metrics_now_seconds();
       SessionTelemetry st;
       st.id = sid;
       st.framework = live->framework;
@@ -69,7 +72,7 @@ EngineSnapshot snapshot(SessionEngine& engine, double stall_deadline_s) {
       st.round = v.round;
       st.queued_for_s = live->start_s - live->submit_s;
       st.running_for_s = now - live->start_s;
-      st.since_advance_s = std::max(0.0, now - v.last_advance_s);
+      st.since_advance_s = now - v.last_advance_s;
       st.stalled = st.since_advance_s >= stall_deadline_s;
       if (st.stalled) live->stalls.fetch_add(1, std::memory_order_relaxed);
       st.stalls = live->stalls.load(std::memory_order_relaxed);

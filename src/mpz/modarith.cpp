@@ -1,7 +1,11 @@
 #include "mpz/modarith.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "mpz/mont.h"
 #include "mpz/sint.h"
@@ -60,22 +64,103 @@ Nat powmod(const Nat& base, const Nat& e, const Nat& m) {
   return acc;
 }
 
-int jacobi(Nat a, Nat n) {
+namespace {
+
+// Limb-array helpers for jacobi(): little-endian magnitudes of `len`
+// significant limbs, modified in place.
+
+// x >>= countr_zero(x) for x != 0; returns the number of bits stripped.
+std::size_t strip_twos(Limb* x, std::size_t& len) {
+  std::size_t w = 0;
+  while (x[w] == 0) ++w;
+  const int b = std::countr_zero(x[w]);
+  if (w == 0 && b == 0) return 0;
+  const std::size_t out = len - w;
+  if (b == 0) {
+    std::copy(x + w, x + len, x);
+  } else {
+    for (std::size_t i = 0; i + 1 < out; ++i)
+      x[i] = (x[i + w] >> b) | (x[i + w + 1] << (64 - b));
+    x[out - 1] = x[len - 1] >> b;
+  }
+  len = x[out - 1] == 0 ? out - 1 : out;  // only the top limb can vanish
+  return 64 * w + static_cast<std::size_t>(b);
+}
+
+bool less(const Limb* x, std::size_t xl, const Limb* y, std::size_t yl) {
+  if (xl != yl) return xl < yl;
+  for (std::size_t i = xl; i-- > 0;)
+    if (x[i] != y[i]) return x[i] < y[i];
+  return false;
+}
+
+// x -= y for x >= y.
+void sub_in_place(Limb* x, std::size_t& xl, const Limb* y, std::size_t yl) {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < xl; ++i) {
+    const Limb yi = i < yl ? y[i] : 0;
+    if (i >= yl && borrow == 0) break;
+    const Limb d = x[i] - yi;
+    const Limb b1 = x[i] < yi ? 1 : 0;
+    x[i] = d - borrow;
+    borrow = b1 | (d < borrow ? 1 : 0);
+  }
+  while (xl > 0 && x[xl - 1] == 0) --xl;
+}
+
+// (2/n) = -1 iff n = 3 or 5 (mod 8); reciprocity flips iff a = n = 3 (mod 4).
+bool two_flips(Limb n0) { return ((n0 & 7u) == 3) || ((n0 & 7u) == 5); }
+
+int jacobi_word(Limb a, Limb n, int result) {
+  while (a != 0) {
+    const int tz = std::countr_zero(a);
+    a >>= tz;
+    if ((tz & 1) != 0 && two_flips(n)) result = -result;
+    if (a < n) {
+      std::swap(a, n);
+      if ((a & n & 3u) == 3) result = -result;
+    }
+    a -= n;
+  }
+  return n == 1 ? result : 0;
+}
+
+}  // namespace
+
+int jacobi(const Nat& a, const Nat& n) {
   if (n.is_even() || n.is_zero())
     throw std::invalid_argument("jacobi: n must be odd and positive");
-  a = a % n;
-  int result = 1;
-  while (!a.is_zero()) {
-    while (a.is_even()) {
-      a = a.shr(1);
-      const Limb n_mod_8 = n.limb(0) & 7u;
-      if (n_mod_8 == 3 || n_mod_8 == 5) result = -result;
-    }
-    std::swap(a, n);
-    if ((a.limb(0) & 3u) == 3 && (n.limb(0) & 3u) == 3) result = -result;
-    a = a % n;
+  // Binary Jacobi: strip factors of two, swap by quadratic reciprocity so
+  // the first operand is the larger, subtract. (a/n) depends only on a mod
+  // n, so a >= n needs no initial reduction. The operands live in two
+  // stack buffers (heap only past kStack limbs) and are rewritten in place;
+  // once both fit one limb the word loop finishes.
+  constexpr std::size_t kStack = 64;  // 4096 bits
+  const std::size_t width = std::max(a.limb_count(), n.limb_count());
+  std::array<Limb, kStack> abuf{}, nbuf{};
+  std::vector<Limb> heap;
+  Limb* x = abuf.data();
+  Limb* y = nbuf.data();
+  if (width > kStack) {
+    heap.resize(2 * width);
+    x = heap.data();
+    y = heap.data() + width;
   }
-  return n.is_one() ? result : 0;
+  std::size_t xl = a.limb_count(), yl = n.limb_count();
+  std::copy(a.limbs().begin(), a.limbs().end(), x);
+  std::copy(n.limbs().begin(), n.limbs().end(), y);
+  int result = 1;
+  while (xl > 1 || yl > 1) {
+    if (xl == 0) return 0;  // gcd = y > 1
+    if ((strip_twos(x, xl) & 1) != 0 && two_flips(y[0])) result = -result;
+    if (less(x, xl, y, yl)) {
+      std::swap(x, y);
+      std::swap(xl, yl);
+      if ((x[0] & y[0] & 3u) == 3) result = -result;
+    }
+    sub_in_place(x, xl, y, yl);
+  }
+  return jacobi_word(xl == 0 ? 0 : x[0], y[0], result);
 }
 
 std::optional<Nat> sqrtmod(const Nat& a, const Nat& p) {

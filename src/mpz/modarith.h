@@ -19,8 +19,10 @@ namespace ppgr::mpz {
 /// base^e mod m for arbitrary m > 0 (uses Montgomery when m is odd).
 [[nodiscard]] Nat powmod(const Nat& base, const Nat& e, const Nat& m);
 
-/// Jacobi symbol (a/n) for odd n > 0; returns -1, 0 or +1.
-[[nodiscard]] int jacobi(Nat a, Nat n);
+/// Jacobi symbol (a/n) for odd n > 0; returns -1, 0 or +1. Any a (also
+/// a >= n). Throws std::invalid_argument for even or zero n. Allocation-free
+/// up to 4096-bit operands.
+[[nodiscard]] int jacobi(const Nat& a, const Nat& n);
 
 /// Square root of a modulo an odd prime p, if one exists (Tonelli–Shanks).
 [[nodiscard]] std::optional<Nat> sqrtmod(const Nat& a, const Nat& p);

@@ -68,7 +68,9 @@ class ProgressCell final : public ProgressSink {
 
   void advance(Phase phase, std::size_t round) override {
     state_.store(pack(phase, round), std::memory_order_relaxed);
-    last_advance_s_.store(metrics_now_seconds(), std::memory_order_relaxed);
+    // Release: a reader that loads this stamp and then reads the clock
+    // reads a time no earlier than it.
+    last_advance_s_.store(metrics_now_seconds(), std::memory_order_release);
   }
 
   struct View {
@@ -80,7 +82,7 @@ class ProgressCell final : public ProgressSink {
     const std::uint64_t s = state_.load(std::memory_order_relaxed);
     return View{static_cast<Phase>(s >> 56),
                 static_cast<std::size_t>(s & ((std::uint64_t{1} << 56) - 1)),
-                last_advance_s_.load(std::memory_order_relaxed)};
+                last_advance_s_.load(std::memory_order_acquire)};
   }
 
  private:

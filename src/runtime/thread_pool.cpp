@@ -147,16 +147,12 @@ void ThreadPool::parallel_for(std::size_t count,
   }
   state_->cv.notify_all();
 
-  // The submitter helps until the index space is drained, then waits for
-  // stragglers still inside fn on other workers.
+  // The submitter helps until the index space is drained, unlists the job,
+  // then waits for stragglers still inside fn on other workers. Unlisting
+  // must come before the wait: workers select a job and count themselves
+  // in `active` under State::mu, so only once the job is off the list is
+  // every worker that will touch it already counted.
   run_job(job);
-  {
-    std::unique_lock<std::mutex> lock(job.done_mu);
-    job.done_cv.wait(lock, [&] {
-      return job.done.load(std::memory_order_acquire) == count &&
-             job.active.load(std::memory_order_acquire) == 0;
-    });
-  }
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     for (auto it = state_->jobs.begin(); it != state_->jobs.end(); ++it) {
@@ -165,6 +161,13 @@ void ThreadPool::parallel_for(std::size_t count,
         break;
       }
     }
+  }
+  {
+    std::unique_lock<std::mutex> lock(job.done_mu);
+    job.done_cv.wait(lock, [&] {
+      return job.done.load(std::memory_order_acquire) == count &&
+             job.active.load(std::memory_order_acquire) == 0;
+    });
   }
   if (job.err) std::rethrow_exception(job.err);
 }

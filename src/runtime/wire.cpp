@@ -70,13 +70,13 @@ std::uint64_t Reader::varint() {
 std::vector<std::uint8_t> Reader::bytes() {
   const std::uint64_t len = varint();
   if (len > remaining()) throw WireError("wire: truncated byte string");
-  return raw(static_cast<std::size_t>(len));
+  const auto view = raw(static_cast<std::size_t>(len));
+  return {view.begin(), view.end()};
 }
 
-std::vector<std::uint8_t> Reader::raw(std::size_t len) {
+std::span<const std::uint8_t> Reader::raw(std::size_t len) {
   need(len);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+  const auto out = data_.subspan(pos_, len);
   pos_ += len;
   return out;
 }

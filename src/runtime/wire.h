@@ -72,7 +72,9 @@ class Reader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] std::vector<std::uint8_t> bytes();
-  [[nodiscard]] std::vector<std::uint8_t> raw(std::size_t len);
+  /// The next `len` bytes as a view into the input (no copy); valid while
+  /// the input is.
+  [[nodiscard]] std::span<const std::uint8_t> raw(std::size_t len);
   [[nodiscard]] mpz::Nat nat();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

@@ -114,17 +114,32 @@ TEST(SchnorrGroup, GeneratorIsQuadraticResidue) {
 TEST(SchnorrGroup, DeserializeRejectsNonResidue) {
   const auto g = make_group(GroupId::kDlTest256);
   auto* sg = dynamic_cast<SchnorrGroup*>(g.get());
-  // Find a quadratic non-residue and check rejection.
+  const std::size_t width = g->element_bytes();
+  // Each rejection keeps its exception type and message.
+  const auto expect_reject = [&](const std::vector<std::uint8_t>& bytes,
+                                 const std::string& what) {
+    try {
+      (void)g->deserialize(bytes);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "SchnorrGroup::deserialize: " + what);
+    }
+  };
+  // A quadratic non-residue.
   Nat z{2};
   while (mpz::jacobi(z, sg->modulus()) != -1) z += Nat{1};
-  EXPECT_THROW((void)g->deserialize(z.to_bytes_be(g->element_bytes())),
-               std::invalid_argument);
-  // Zero and p are rejected too.
-  EXPECT_THROW((void)g->deserialize(Nat{}.to_bytes_be(g->element_bytes())),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)g->deserialize(sg->modulus().to_bytes_be(g->element_bytes())),
-      std::invalid_argument);
+  expect_reject(z.to_bytes_be(width), "not a residue");
+  // Zero, p and 2^256 - 1 are out of range.
+  expect_reject(Nat{}.to_bytes_be(width), "out of range");
+  expect_reject(sg->modulus().to_bytes_be(width), "out of range");
+  expect_reject(Nat::sub(Nat::pow2(8 * width), Nat{1}).to_bytes_be(width),
+                "out of range");
+  // One byte short or long.
+  expect_reject(std::vector<std::uint8_t>(width - 1, 0x01), "bad length");
+  expect_reject(std::vector<std::uint8_t>(width + 1, 0x01), "bad length");
+  // A residue still decodes.
+  EXPECT_NO_THROW((void)g->deserialize(Nat{4}.to_bytes_be(width)));
 }
 
 TEST(EcGroup, StandardCurveParametersValidate) {

@@ -3,6 +3,7 @@
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
+#include "group/schnorr_group.h"
 #include "mpz/fp.h"
 #include "mpz/modarith.h"
 #include "mpz/mont.h"
@@ -149,6 +150,56 @@ TEST(ModArith, Jacobi) {
   EXPECT_EQ(jacobi(Nat{}, Nat{7}), 0);
   EXPECT_EQ(jacobi(Nat{14}, Nat{7}), 0);
   EXPECT_THROW((void)jacobi(Nat{3}, Nat{8}), std::invalid_argument);
+}
+
+// Differential check of the limb-level binary Jacobi against GMP's
+// mpz_jacobi: random odd moduli of every width the groups use (1..5, 8 and
+// 32 limbs) and one past the stack buffer (70), the dl-test-256 and DL-2048
+// safe primes, and the boundary numerators 0, 1, n-1, multiples of n and
+// values wider than n.
+TEST(ModArith, JacobiMatchesGmp) {
+  const auto expect_jacobi = [](const Nat& a, const Nat& n) {
+    const mpz_class ga = to_gmp(a), gn = to_gmp(n);
+    return mpz_jacobi(ga.get_mpz_t(), gn.get_mpz_t());
+  };
+  ChaChaRng rng{0x1ac0b1};
+  std::vector<Nat> moduli;
+  for (const std::size_t limbs : {1, 2, 3, 4, 5, 8, 32, 70}) {
+    for (int i = 0; i < 6; ++i) {
+      Nat n = rng.bits(64 * limbs);
+      n.set_bit(64 * limbs - 1, true);
+      n.set_bit(0, true);
+      moduli.push_back(std::move(n));
+    }
+  }
+  moduli.push_back(Nat{1});
+  moduli.push_back(Nat{3});
+  for (const auto id : {group::GroupId::kDlTest256, group::GroupId::kDl2048}) {
+    const auto g = group::make_group(id);
+    moduli.push_back(dynamic_cast<const group::SchnorrGroup&>(*g).modulus());
+  }
+  for (const Nat& n : moduli) {
+    const Nat n1 = n.is_one() ? Nat{} : Nat::sub(n, Nat{1});
+    std::vector<Nat> numerators = {Nat{}, Nat{1}, Nat{2}, n1, n,
+                                   Nat::mul(n, Nat{6}), Nat::add(n, Nat{2})};
+    for (int i = 0; i < 24; ++i) numerators.push_back(rng.below(n));
+    for (int i = 0; i < 6; ++i)  // wider than n: no initial reduction
+      numerators.push_back(rng.bits(n.bit_length() + 1 + 40 * i));
+    numerators.push_back(rng.bits(64 * 80));  // heap path for any n
+    for (int i = 0; i < 4; ++i)  // shared factors: symbol 0 unless n = 1
+      numerators.push_back(Nat::mul(rng.below(n), n));
+    for (const Nat& a : numerators)
+      EXPECT_EQ(jacobi(a, n), expect_jacobi(a, n))
+          << "a=" << a.to_hex() << " n=" << n.to_hex();
+  }
+  // Composite n with a shared small factor: (a/n) = 0.
+  EXPECT_EQ(jacobi(Nat{21}, Nat::mul(Nat{7}, Nat::pow2(200) + Nat{1})),
+            expect_jacobi(Nat{21}, Nat::mul(Nat{7}, Nat::pow2(200) + Nat{1})));
+  // Even or zero n throws.
+  EXPECT_THROW((void)jacobi(Nat{5}, Nat{}), std::invalid_argument);
+  EXPECT_THROW((void)jacobi(Nat{5}, Nat::pow2(300)), std::invalid_argument);
+  EXPECT_THROW((void)jacobi(Nat{5}, Nat::sub(Nat::pow2(2048), Nat{2})),
+               std::invalid_argument);
 }
 
 TEST(ModArith, SqrtMod) {

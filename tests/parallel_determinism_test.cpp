@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <regex>
 #include <string>
 #include <thread>
 
 #include "core/framework.h"
+#include "group/schnorr_group.h"
+#include "mpz/modarith.h"
+#include "net/fault.h"
 
 namespace ppgr::core {
 namespace {
@@ -206,6 +210,182 @@ TEST(ParallelDeterminism, EcGroupAlsoDeterministic) {
   cfg.parallelism = 3;
   const auto threaded = run_framework(cfg, {0, 0}, {1, 1}, infos, rng2);
   expect_identical(serial, threaded, "ec: threads=1 vs threads=3");
+}
+
+// A forwarding group that damages chosen elements of outgoing ciphertext
+// sets: the `call`-th serialized set (counted over sets of exactly
+// `set_elems` elements, which only the phase-2 set transfers produce) gets
+// element `elem` overwritten with `value`'s encoding. The receiver gets a
+// well-framed message whose content fails validation at decode.
+class DamagingGroup final : public group::Group {
+ public:
+  struct Damage {
+    std::size_t call;
+    std::size_t elem;
+    Nat value;
+  };
+  DamagingGroup(const group::Group& inner, std::size_t set_elems,
+                std::vector<Damage> damage)
+      : inner_(inner), set_elems_(set_elems), damage_(std::move(damage)) {}
+
+  std::string name() const override { return inner_.name(); }
+  const Nat& order() const override { return inner_.order(); }
+  std::size_t field_bits() const override { return inner_.field_bits(); }
+  group::Elem generator() const override { return inner_.generator(); }
+  group::Elem identity() const override { return inner_.identity(); }
+  group::Elem mul(const group::Elem& x, const group::Elem& y) const override {
+    return inner_.mul(x, y);
+  }
+  group::Elem exp(const group::Elem& b, const Nat& e) const override {
+    return inner_.exp(b, e);
+  }
+  group::Elem exp_g(const Nat& e) const override { return inner_.exp_g(e); }
+  group::Elem dual_exp(const group::Elem& x, const Nat& ex,
+                       const group::Elem& y, const Nat& ey) const override {
+    return inner_.dual_exp(x, ex, y, ey);
+  }
+  group::Elem inv(const group::Elem& x) const override {
+    return inner_.inv(x);
+  }
+  bool eq(const group::Elem& x, const group::Elem& y) const override {
+    return inner_.eq(x, y);
+  }
+  bool is_identity(const group::Elem& x) const override {
+    return inner_.is_identity(x);
+  }
+  std::vector<std::uint8_t> serialize(const group::Elem& x) const override {
+    return inner_.serialize(x);
+  }
+  std::vector<std::uint8_t> serialize_many(
+      std::span<const group::Elem> xs) const override {
+    auto out = inner_.serialize_many(xs);
+    if (xs.size() != set_elems_) return out;
+    const std::size_t call = calls_.fetch_add(1);
+    const std::size_t eb = element_bytes();
+    for (const Damage& d : damage_) {
+      if (d.call != call) continue;
+      const auto bytes = d.value.to_bytes_be(eb);
+      std::copy(bytes.begin(), bytes.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(d.elem * eb));
+    }
+    return out;
+  }
+  group::Elem deserialize(std::span<const std::uint8_t> b) const override {
+    return inner_.deserialize(b);
+  }
+  std::size_t element_bytes() const override { return inner_.element_bytes(); }
+
+ private:
+  const group::Group& inner_;
+  std::size_t set_elems_;
+  std::vector<Damage> damage_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+struct FaultOutcome {
+  runtime::Phase phase = runtime::Phase::kSetup;
+  std::size_t round = 0;
+  std::size_t party = 0;
+  std::string what;
+  std::string report_json;
+
+  bool operator==(const FaultOutcome&) const = default;
+};
+
+// Runs the small instance with damaged set transfers under an installed
+// (delay-only) fault plan, which types the decode failure as a
+// ProtocolFault; the run must fault.
+FaultOutcome run_damaged(std::size_t parallelism,
+                         const std::vector<DamagingGroup::Damage>& damage) {
+  const auto inner = make_group(GroupId::kDlTest256);
+  FrameworkConfig cfg = small_config(*inner, parallelism);
+  const DamagingGroup g{*inner, 2 * (cfg.n - 1) * cfg.spec.beta_bits(),
+                        damage};
+  cfg.group = &g;
+  const net::FaultPlan plan{net::parse_fault_plan("seed=5,delay=0.3")};
+  cfg.fault_plan = &plan;
+  ChaChaRng rng{4242};
+  AttrVec v0(cfg.spec.m), w(cfg.spec.m);
+  for (auto& x : v0) x = rng.below_u64(std::uint64_t{1} << cfg.spec.d1);
+  for (auto& x : w) x = rng.below_u64(std::uint64_t{1} << cfg.spec.d2);
+  const auto infos = random_infos(cfg.spec, cfg.n, rng);
+  FaultOutcome out;
+  try {
+    (void)run_framework(cfg, v0, w, infos, rng);
+    ADD_FAILURE() << "damaged run completed";
+  } catch (const ProtocolFault& pf) {
+    out = {pf.info().phase, pf.info().round, pf.info().party, pf.what(),
+           pf.report().to_json()};
+  }
+  return out;
+}
+
+// Same outcome at parallelism 1, 2 and 4; returns it.
+FaultOutcome run_damaged_everywhere(
+    const std::vector<DamagingGroup::Damage>& damage) {
+  const FaultOutcome serial = run_damaged(1, damage);
+  for (const std::size_t par : {std::size_t{2}, std::size_t{4}})
+    EXPECT_EQ(run_damaged(par, damage), serial) << "parallelism " << par;
+  EXPECT_EQ(serial.phase, runtime::Phase::kPhase2);
+  EXPECT_EQ(serial.party, kNoParty);
+  return serial;
+}
+
+Nat dl_test_modulus() {
+  const auto g = make_group(GroupId::kDlTest256);
+  return dynamic_cast<const group::SchnorrGroup&>(*g).modulus();
+}
+
+Nat non_residue(const Nat& p) {
+  Nat z{2};
+  while (mpz::jacobi(z, p) != -1) z += Nat{1};
+  return z;
+}
+
+bool mentions(const FaultOutcome& o, const std::string& text) {
+  return o.what.find(text) != std::string::npos;
+}
+
+TEST(ParallelDeterminism, DamagedSetFaultsIdenticallyAtEveryParallelism) {
+  // One non-residue in one set, at each place V is decoded in parallel:
+  // P1 gathering the comparison sets, the chain forwarding V between hops,
+  // Pn returning the sets. Set-transfer calls are numbered n-1 gathers,
+  // then n sets per forwarded V (V leaving P(h+1) holds calls
+  // n-1 + h·n + owner index), then n-1 returns.
+  const std::size_t n = 5;
+  const Nat p = dl_test_modulus();
+  const Nat z = non_residue(p);
+  const std::size_t gather = 2;
+  const std::size_t forward = (n - 1) + 1 * n + 2;  // V leaving P2, P3's set
+  const std::size_t ret = (n - 1) + (n - 1) * n + 1;
+  std::vector<std::size_t> rounds;
+  for (const std::size_t call : {gather, forward, ret}) {
+    const FaultOutcome o = run_damaged_everywhere({{call, 5, z}});
+    EXPECT_TRUE(mentions(o, "invalid message content: "
+                            "SchnorrGroup::deserialize: not a residue"))
+        << o.what;
+    rounds.push_back(o.round);
+  }
+  // Each site faults in its own round.
+  EXPECT_LT(rounds[0], rounds[1]);
+  EXPECT_LT(rounds[1], rounds[2]);
+}
+
+TEST(ParallelDeterminism, TwoDamagedSetsReportTheLowerSet) {
+  // Two sets of one forwarded V fail with different errors; the lower set's
+  // error is the one reported, at every parallelism.
+  const std::size_t n = 5;
+  const std::size_t forward = (n - 1) + 2 * n;  // V leaving P3
+  const Nat p = dl_test_modulus();
+  const Nat z = non_residue(p);
+  // P2's set (index 1) and P4's set (index 3).
+  const FaultOutcome lower_residue =
+      run_damaged_everywhere({{forward + 1, 0, z}, {forward + 3, 9, p}});
+  EXPECT_TRUE(mentions(lower_residue, "not a residue")) << lower_residue.what;
+  const FaultOutcome lower_range =
+      run_damaged_everywhere({{forward + 1, 0, p}, {forward + 3, 9, z}});
+  EXPECT_TRUE(mentions(lower_range, "out of range")) << lower_range.what;
+  EXPECT_EQ(lower_residue.round, lower_range.round);
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST_P(CryptoCodec, ElemAndCiphertextRoundTrip) {
   r.finish();
 }
 
-TEST_P(CryptoCodec, CiphertextVectorRoundTrip) {
+TEST_P(CryptoCodec, CiphertextSeqRoundTripInPlace) {
   const auto g = group::make_group(GetParam());
   ChaChaRng rng{121};
   const auto kp = crypto::keygen(*g, rng);
@@ -145,22 +145,34 @@ TEST_P(CryptoCodec, CiphertextVectorRoundTrip) {
     cts.push_back(crypto::encrypt_exp(*g, kp.y, Nat{static_cast<mpz::Limb>(i)}, rng));
 
   Writer w;
-  crypto::write_ciphertexts(w, *g, cts);
+  crypto::write_ciphertext_seq(w, *g, cts);
+  // Decoding overwrites existing slots, whatever they held before.
+  std::vector<crypto::Ciphertext> back(cts.size(),
+                                       {.c = kp.y, .cp = g->identity()});
   Reader r{w.data()};
-  const auto back = crypto::read_ciphertexts(r, *g);
+  crypto::read_ciphertext_seq(r, *g, back);
   r.finish();
-  ASSERT_EQ(back.size(), cts.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {
     EXPECT_TRUE(g->eq(back[i].c, cts[i].c));
+    EXPECT_TRUE(g->eq(back[i].cp, cts[i].cp));
   }
 }
 
-TEST_P(CryptoCodec, CiphertextVectorRejectsLengthBomb) {
+TEST_P(CryptoCodec, CiphertextSeqRejectsShortInputBeforeDecoding) {
+  // The length is checked before any element is decoded: the one (invalid,
+  // all 0xff) ciphertext present is never validated, and the error is the
+  // WireError for the missing second one.
   const auto g = group::make_group(GetParam());
   Writer w;
-  w.varint(1 << 30);
+  w.raw(std::vector<std::uint8_t>(crypto::ciphertext_wire_bytes(*g), 0xff));
+  std::vector<crypto::Ciphertext> out(2);
   Reader r{w.data()};
-  EXPECT_THROW((void)crypto::read_ciphertexts(r, *g), WireError);
+  try {
+    crypto::read_ciphertext_seq(r, *g, out);
+    ADD_FAILURE() << "short input accepted";
+  } catch (const WireError& e) {
+    EXPECT_STREQ(e.what(), "wire: truncated input");
+  }
 }
 
 TEST_P(CryptoCodec, TranscriptRoundTripAndValidation) {
@@ -395,13 +407,14 @@ TEST_P(CodecBoundaryGroup, CiphertextSeqFixedWidth) {
   crypto::write_ciphertext_seq(w, *g, cts);
   EXPECT_EQ(w.size(), cts.size() * crypto::ciphertext_wire_bytes(*g));
   Reader r{w.data()};
-  const auto back = crypto::read_ciphertext_seq(r, *g, cts.size());
+  std::vector<crypto::Ciphertext> back(cts.size());
+  crypto::read_ciphertext_seq(r, *g, back);
   r.finish();
   for (std::size_t i = 0; i < cts.size(); ++i)
     EXPECT_TRUE(g->eq(back[i].c, cts[i].c));
   Reader r2{w.data()};
-  EXPECT_THROW((void)crypto::read_ciphertext_seq(r2, *g, cts.size() + 2),
-               WireError);
+  std::vector<crypto::Ciphertext> too_many(cts.size() + 2);
+  EXPECT_THROW(crypto::read_ciphertext_seq(r2, *g, too_many), WireError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Groups, CodecBoundaryGroup,
