@@ -6,20 +6,22 @@
 //    compares measured mean per-participant compute time against the
 //    model's prediction for the same configuration (timing sanity check);
 //  - --check mode (run as the `model_validation` ctest): runs the real
-//    framework with the runtime metrics layer enabled and asserts the
-//    *measured* group-op counters match the CountingGroup totals of
-//    benchcore::count_he_framework exactly, reporting the offending counter
-//    on drift. This pins the Sec. VI-B analytical table to the real
-//    runtime: an instrumentation or protocol change that alters either
-//    side's counts fails CI;
+//    framework with the runtime metrics layer enabled and asserts its
+//    group-op, multi-exp and table-served-exp counters match the mock-group
+//    run of benchcore::count_he_framework exactly, reporting the offending
+//    counter on drift. Both runs take the one phase-2 code path, so this
+//    pins that the operations the model prices are the ones a real group
+//    runs: a change that makes them diverge fails CI;
 //  - --check-comm mode (run as the `comm_validation` ctest): runs the real
 //    framework and asserts the communication CommRegistry *measured* on the
 //    wire (every message serialized through net::Router) matches
 //    benchcore::model_he_comm — the closed-form per-(phase, link)
 //    message/byte model — exactly, link by link. A codec or protocol change
 //    that alters either side fails CI.
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "benchcore/model.h"
 
@@ -35,7 +37,7 @@ int run_check() {
   constexpr std::size_t k = 2;
   constexpr std::uint64_t seed = 1234;
 
-  // Model side: CountingGroup totals from the counted mock-group run.
+  // Model side: metered totals of the counted mock-group run.
   const auto g = group::make_group(group::GroupId::kDlTest256);
   const auto model = benchcore::count_he_framework(
       spec, n, k, g->element_bytes(), g->field_bits(), seed);
@@ -71,14 +73,14 @@ int run_check() {
   };
 
   using runtime::CryptoOp;
-  expect("group_mul", measured[CryptoOp::kGroupMul], model.totals.muls);
-  expect("group_exp", measured[CryptoOp::kGroupExp], model.totals.exps);
-  expect("group_exp_g", measured[CryptoOp::kGroupExpG], model.totals.gexps);
-  expect("group_inv", measured[CryptoOp::kGroupInv], model.totals.invs);
-  expect("group_serialize", measured[CryptoOp::kGroupSerialize],
-         model.totals.serializations);
-  expect("group_deserialize", measured[CryptoOp::kGroupDeserialize],
-         model.totals.deserializations);
+  constexpr std::array kPricedOps{
+      CryptoOp::kGroupMul,          CryptoOp::kGroupExp,
+      CryptoOp::kGroupExpG,         CryptoOp::kGroupInv,
+      CryptoOp::kGroupSerialize,    CryptoOp::kGroupDeserialize,
+      CryptoOp::kAccelMultiExp,     CryptoOp::kAccelMultiExpTerm,
+      CryptoOp::kAccelFixedBaseExp};
+  for (const CryptoOp op : kPricedOps)
+    expect(runtime::op_name(op), measured[op], model.totals[op]);
 
   // (No divisibility-by-n assertion: comparison-circuit cost depends on
   // each party's own β bit pattern, so totals are not an exact multiple of
@@ -89,14 +91,9 @@ int run_check() {
   // tallies equals its undivided totals for every op.
   runtime::OpTally phase_sum;
   for (const auto& t : model.phase_ops) phase_sum += t;
-  expect("phases(group_mul)", phase_sum[CryptoOp::kGroupMul],
-         model.totals.muls);
-  expect("phases(group_exp)", phase_sum[CryptoOp::kGroupExp],
-         model.totals.exps);
-  expect("phases(group_exp_g)", phase_sum[CryptoOp::kGroupExpG],
-         model.totals.gexps);
-  expect("phases(group_inv)", phase_sum[CryptoOp::kGroupInv],
-         model.totals.invs);
+  for (const CryptoOp op : kPricedOps)
+    expect((std::string("phases(") + runtime::op_name(op) + ")").c_str(),
+           phase_sum[op], model.totals[op]);
 
   if (failures != 0) {
     std::fprintf(stderr,
@@ -106,14 +103,16 @@ int run_check() {
                  failures);
     return 1;
   }
-  std::printf("model validation OK: measured runtime counters match "
-              "CountingGroup totals exactly\n"
+  std::printf("model validation OK: measured runtime counters match the "
+              "mock-group model run exactly\n"
               "  group_exp=%llu group_exp_g=%llu group_mul=%llu "
-              "group_inv=%llu (n=%zu, l=%zu)\n",
+              "group_inv=%llu accel_multi_exp=%llu (n=%zu, l=%zu)\n",
               static_cast<unsigned long long>(measured[CryptoOp::kGroupExp]),
               static_cast<unsigned long long>(measured[CryptoOp::kGroupExpG]),
               static_cast<unsigned long long>(measured[CryptoOp::kGroupMul]),
               static_cast<unsigned long long>(measured[CryptoOp::kGroupInv]),
+              static_cast<unsigned long long>(
+                  measured[CryptoOp::kAccelMultiExp]),
               n, spec.beta_bits());
   return 0;
 }

@@ -5,10 +5,11 @@
 # parallel_determinism_test and runtime_pool_test with real threads.
 #
 # The `metrics` mode is the focused observability leg: it runs the metrics
-# unit tests, the golden exporter test and the model-vs-measured self-checks
-# (bench/validate_model --check and --check-comm) under ASan+UBSan — CI
-# fails on any counter drift between the runtime metrics and the analytical
-# cost model, or any wire-byte drift between the measured communication and
+# unit tests, the golden exporter test, the model-vs-measured self-checks
+# (bench/validate_model --check and --check-comm), the cost-model tests
+# (benchcore_test) and the conformance audit (audit_test) under ASan+UBSan
+# — CI fails on any counter drift between a real run and the mock-group
+# model run, or any wire-byte drift between the measured communication and
 # the closed-form comm model. The full asan/plain legs also include these
 # tests via ctest.
 #
@@ -28,12 +29,13 @@
 #
 # The `multiexp` mode is the multi-exponentiation crypto leg: the
 # differential suite (Straus/Pippenger/fixed-base vs naive Group::exp on
-# every group family), the batched-inversion KATs, the accel-on vs
-# accel-off bit-identity test, the limb-level Jacobi symbol against GMP
-# (mpz_modular_test) and the parallel set-decode fault determinism tests
-# (parallel_determinism_test) run under ASan+UBSan — index arithmetic over
-# window digits, bucket arrays and in-place limb buffers is exactly the
-# surface ASan watches.
+# every group family), the batched-inversion KATs, the phase-2 evaluation
+# against its literal reference oracle (phase2_oracle_test: comparison
+# circuit and chain hop, byte for byte), the limb-level Jacobi symbol
+# against GMP (mpz_modular_test) and the parallel set-decode fault
+# determinism tests (parallel_determinism_test) run under ASan+UBSan —
+# index arithmetic over window digits, bucket arrays and in-place limb
+# buffers is exactly the surface ASan watches.
 #
 # The `repeat` mode reruns the threaded suites (telemetry, engine, parallel
 # determinism, thread pool) under TSan until one fails, up to 20 times each:
@@ -156,13 +158,13 @@ case "${MODE}" in
   # extra ctest args (e.g. -R '.') to widen.
   tsan) run_leg tsan -R 'parallel_determinism|runtime_pool|framework_property' ;;
   engine) run_leg tsan -R 'engine' ;;
-  metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test' ;;
+  metrics) run_leg asan -R 'runtime_metrics|metrics_export|model_validation|comm_validation|net_test|benchcore_test|audit_test' ;;
   chaos)
     run_leg asan -R '^fault_test$|chaos_test|wire_test|security_test'
     run_leg tsan -R 'engine_fault'
     chaos_postmortems
     ;;
-  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|mpz_modular' ;;
+  multiexp) run_leg asan -R 'multiexp|batch_inverse|parallel_determinism|mpz_modular|phase2_oracle' ;;
   telemetry) run_leg tsan -R 'telemetry|engine_fault' ;;
   repeat) run_leg tsan -R "${REPEAT_SUITES}" --repeat until-fail:20 ;;
   audit)

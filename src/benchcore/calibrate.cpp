@@ -1,6 +1,9 @@
 #include "benchcore/calibrate.h"
 
+#include <array>
 #include <chrono>
+
+#include "group/multi_exp.h"
 
 namespace ppgr::benchcore {
 
@@ -24,17 +27,34 @@ double time_per_call(F&& body, int iters) {
 
 }  // namespace
 
+OpCounts group_op_counts(const runtime::OpTally& tally) {
+  using runtime::CryptoOp;
+  return OpCounts{.muls = tally[CryptoOp::kGroupMul],
+                  .exps = tally[CryptoOp::kGroupExp],
+                  .fixed_base_exps = tally[CryptoOp::kAccelFixedBaseExp],
+                  .gexps = tally[CryptoOp::kGroupExpG],
+                  .multi_exps = tally[CryptoOp::kAccelMultiExp],
+                  .invs = tally[CryptoOp::kGroupInv],
+                  .serializations = tally[CryptoOp::kGroupSerialize],
+                  .deserializations = tally[CryptoOp::kGroupDeserialize]};
+}
+
 GroupCosts calibrate_group(const group::Group& g, mpz::Rng& rng) {
   using group::Elem;
   const Elem a = g.exp_g(g.random_nonzero_scalar(rng));
   const Elem b = g.exp_g(g.random_nonzero_scalar(rng));
   const mpz::Nat s = g.random_nonzero_scalar(rng);
+  const mpz::Nat t = g.random_nonzero_scalar(rng);
+  const std::array<Elem, 2> bases{a, b};
+  const std::array<mpz::Nat, 2> exps{s, t};
 
   GroupCosts costs;
   Elem sink = a;
   costs.mul_s = time_per_call([&] { sink = g.mul(sink, b); }, 400);
   costs.exp_s = time_per_call([&] { sink = g.exp(a, s); }, 12);
   costs.gexp_s = time_per_call([&] { sink = g.exp_g(s); }, 24);
+  costs.multi_exp2_s =
+      time_per_call([&] { sink = group::multi_exp(g, bases, exps); }, 12);
   costs.inv_s = time_per_call([&] { sink = g.inv(a); }, 12);
   costs.serialize_s = time_per_call([&] { (void)g.serialize(a); }, 50);
   // Keep `sink` alive so the loops aren't optimized away.
@@ -63,11 +83,18 @@ SsCosts calibrate_ss(const mpz::FpCtx& field, std::size_t n, std::size_t t,
   return costs;
 }
 
-double price_group_ops(const group::OpCounts& per_participant,
+double price_group_ops(const OpCounts& per_participant,
                        const GroupCosts& costs) {
+  // A table-served exp costs what a generator exp does: both are w = 4
+  // comb tables over order-width scalars (group/fixed_base.h).
   return static_cast<double>(per_participant.muls) * costs.mul_s +
-         static_cast<double>(per_participant.exps) * costs.exp_s +
-         static_cast<double>(per_participant.gexps) * costs.gexp_s +
+         static_cast<double>(per_participant.exps -
+                             per_participant.fixed_base_exps) *
+             costs.exp_s +
+         static_cast<double>(per_participant.gexps +
+                             per_participant.fixed_base_exps) *
+             costs.gexp_s +
+         static_cast<double>(per_participant.multi_exps) * costs.multi_exp2_s +
          static_cast<double>(per_participant.invs) * costs.inv_s +
          static_cast<double>(per_participant.serializations +
                              per_participant.deserializations) *

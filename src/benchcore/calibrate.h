@@ -2,8 +2,10 @@
 //
 // The paper measures per-participant execution time on its own hardware; we
 // reproduce the *shape* of those figures by combining
-//   (a) exact per-protocol operation counts (CountingGroup over MockGroup
-//       for the HE frameworks; MpcEngine::kCountOnly for the SS baseline)
+//   (a) exact per-protocol operation counts (the runtime metrics of a
+//       protocol run over a metered MockGroup for the HE frameworks — the
+//       same code path a real run takes; MpcEngine::kCountOnly for the SS
+//       baseline)
 // with
 //   (b) per-operation wall-clock costs of the *real* cryptographic
 //       implementations measured on this host at the modeled parameter
@@ -13,18 +15,39 @@
 // model against full real executions at small n.
 #pragma once
 
-#include "group/counting_group.h"
+#include <cstdint>
+
+#include "group/group.h"
+#include "runtime/metrics.h"
 #include "sss/mpc_engine.h"
 
 namespace ppgr::benchcore {
 
+/// Group-operation counts of an HE-framework run, in the categories
+/// price_group_ops prices. Every multi-exponentiation the protocol runs has
+/// two terms (the comparison-circuit and shuffle-hop ciphertext folds).
+struct OpCounts {
+  std::uint64_t muls = 0;
+  std::uint64_t exps = 0;             // variable-base exponentiations
+  std::uint64_t fixed_base_exps = 0;  // of `exps`: served by a comb table
+  std::uint64_t gexps = 0;            // generator exponentiations
+  std::uint64_t multi_exps = 0;       // 2-term multi-exponentiations
+  std::uint64_t invs = 0;
+  std::uint64_t serializations = 0;
+  std::uint64_t deserializations = 0;
+};
+
+/// Reads the group-op counters of a metered run's tally.
+[[nodiscard]] OpCounts group_op_counts(const runtime::OpTally& tally);
+
 /// Per-operation costs of a real group, in seconds.
 struct GroupCosts {
-  double mul_s = 0;        // one group multiplication
-  double exp_s = 0;        // one exponentiation with a full-size scalar
-  double gexp_s = 0;       // one fixed-base (generator) exponentiation
-  double inv_s = 0;        // one inversion
-  double serialize_s = 0;  // one element serialization
+  double mul_s = 0;         // one group multiplication
+  double exp_s = 0;         // one exponentiation with a full-size scalar
+  double gexp_s = 0;        // one fixed-base (comb-table) exponentiation
+  double multi_exp2_s = 0;  // one 2-term multi-exp with full-size scalars
+  double inv_s = 0;         // one inversion
+  double serialize_s = 0;   // one element serialization
 };
 
 /// Measures a group's operation costs with short timed loops (deterministic
@@ -45,8 +68,11 @@ struct SsCosts {
 [[nodiscard]] SsCosts calibrate_ss(const mpz::FpCtx& field, std::size_t n,
                                    std::size_t t, mpz::Rng& rng);
 
-/// Prices HE-framework op counts (already divided per participant).
-[[nodiscard]] double price_group_ops(const group::OpCounts& per_participant,
+/// Prices HE-framework op counts (already divided per participant). Every
+/// exponentiation is priced at full scalar width: the comparison circuit's
+/// small-coefficient exps and multi-exps (exponent < l) are priced like
+/// full ones, so the model overestimates that step.
+[[nodiscard]] double price_group_ops(const OpCounts& per_participant,
                                      const GroupCosts& costs);
 
 /// Prices SS-framework costs per participant: counts are engine totals; each

@@ -46,26 +46,19 @@ HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
                             std::size_t modeled_field_bits,
                             std::uint64_t seed) {
   // Counted protocol run over a mock group dressed with the modeled
-  // element/scalar sizes.
+  // element/scalar sizes. The metrics layer meters it exactly as it meters
+  // a real run, so the tallies are the operations a real run performs.
   const group::MockGroup mock{"mock", modeled_elem_bytes, modeled_field_bits};
-  const group::CountingGroup counted{mock};
 
   core::FrameworkConfig cfg;
   cfg.spec = spec;
   cfg.n = n;
   cfg.k = k;
-  cfg.group = &counted;
+  cfg.group = &mock;
   cfg.dot_field = &core::default_dot_field();
-  // Record runtime metrics alongside the CountingGroup totals: the two
-  // count the same interface-level operations, so bench/validate_model can
-  // assert they agree exactly.
   cfg.metrics = true;
-  // This is the reference count: run the naive (unaccelerated) protocol so
-  // the CountingGroup sees the logical op profile that accelerated runs
-  // credit against. With accel on the CountingGroup would instead record
-  // the multi-exp call shapes and the cross-check would no longer define
-  // the invariant.
-  cfg.accel = false;
+  // Counts are identical at any parallelism; use every core.
+  cfg.parallelism = 0;
 
   const Instance inst = random_instance(spec, n, seed);
   mpz::ChaChaRng rng{seed + 1};
@@ -79,14 +72,17 @@ HeCounts count_he_framework(const ProblemSpec& spec, std::size_t n,
   // all participant work; the per-participant share is totals / n (integer
   // division — comparison-circuit cost varies slightly with each party's
   // own β bit pattern, so the division is a mean, not exact per party).
-  const auto& totals = counted.counts();
-  counts.totals = totals;
-  counts.per_participant.muls = totals.muls / n;
-  counts.per_participant.exps = totals.exps / n;
-  counts.per_participant.gexps = totals.gexps / n;
-  counts.per_participant.invs = totals.invs / n;
-  counts.per_participant.serializations = totals.serializations / n;
-  counts.per_participant.deserializations = totals.deserializations / n;
+  counts.totals = result.metrics->totals();
+  const OpCounts totals = group_op_counts(counts.totals);
+  counts.per_participant = OpCounts{
+      .muls = totals.muls / n,
+      .exps = totals.exps / n,
+      .fixed_base_exps = totals.fixed_base_exps / n,
+      .gexps = totals.gexps / n,
+      .multi_exps = totals.multi_exps / n,
+      .invs = totals.invs / n,
+      .serializations = totals.serializations / n,
+      .deserializations = totals.deserializations / n};
   // Phase 1 runs on the real field either way (the mock only replaces the
   // DDH group); measure one real dot-product exchange.
   {

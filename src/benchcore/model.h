@@ -1,10 +1,11 @@
 // Shared sweep machinery for the figure-reproduction benchmarks.
 //
 // A sweep point prices one framework configuration three ways:
-//  - HE frameworks (the paper's DL-xxxx and ECC-xxx): exact op counts from a
-//    counted MockGroup protocol run, divided per participant, priced with
-//    calibrated real-group costs (benchcore/calibrate.h), plus the real
-//    measured phase-1 time.
+//  - HE frameworks (the paper's DL-xxxx and ECC-xxx): exact op counts from
+//    the runtime metrics of a MockGroup protocol run — the same code path a
+//    real run takes — divided per participant, priced with calibrated
+//    real-group costs (benchcore/calibrate.h), plus the real measured
+//    phase-1 time.
 //  - SS framework: exact counts from an MpcEngine::kCountOnly run, priced
 //    per participant.
 // The same counted runs also produce the communication traces replayed by
@@ -17,7 +18,6 @@
 #include "benchcore/calibrate.h"
 #include "core/framework.h"
 #include "core/ss_framework.h"
-#include "group/counting_group.h"
 #include "group/mock_group.h"
 
 namespace ppgr::benchcore {
@@ -44,7 +44,7 @@ struct HePoint {
   std::string framework;                 // "dl-1024", "ecc-p192", ...
   double participant_seconds = 0;        // modeled phase-2+ compute
   double phase1_seconds = 0;             // measured real phase-1 (per party)
-  group::OpCounts per_participant;       // counts after division by n
+  OpCounts per_participant;              // counts after division by n
   runtime::TraceRecorder trace;          // with modeled element sizes
   std::size_t rounds = 0;
   std::size_t total_bytes = 0;
@@ -57,12 +57,11 @@ struct HePoint {
 /// the same operation sequence, so one counted run prices both (only the
 /// recorded trace depends on the modeled element size).
 struct HeCounts {
-  group::OpCounts per_participant;
-  /// Undivided CountingGroup totals of the counted run — the model-side
-  /// numbers bench/validate_model cross-checks against the runtime metrics.
-  group::OpCounts totals;
-  /// Measured per-phase op tallies from the same run's MetricsRegistry
-  /// (the counted run executes with FrameworkConfig::metrics enabled).
+  OpCounts per_participant;
+  /// Undivided MetricsRegistry totals of the counted run — the model-side
+  /// numbers bench/validate_model cross-checks against a real run's.
+  runtime::OpTally totals;
+  /// Per-phase op tallies from the same registry.
   std::array<runtime::OpTally, runtime::kPhaseCount> phase_ops{};
   runtime::TraceRecorder trace;
   std::size_t rounds = 0;

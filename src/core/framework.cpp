@@ -21,8 +21,6 @@ namespace ppgr::core {
 namespace {
 
 using crypto::ct_add;
-using crypto::ct_add_plain;
-using crypto::ct_scale;
 using crypto::encrypt_exp;
 using crypto::rerandomize;
 using mpz::ChaChaRng;
@@ -289,12 +287,6 @@ Ciphertext Participant::encrypt_beta_bit(std::size_t b, Rng& rng,
   return encrypt_beta_bit(b, rng);
 }
 
-void Participant::set_accel_context(
-    const Group* fast, std::shared_ptr<const group::FixedBaseTable> key_table) {
-  fast_ = fast;
-  key_table_ = std::move(key_table);
-}
-
 std::vector<Ciphertext> Participant::encrypt_beta_bits(Rng& rng) {
   const std::size_t l = cfg_.spec.beta_bits();
   std::vector<Ciphertext> out;
@@ -303,52 +295,66 @@ std::vector<Ciphertext> Participant::encrypt_beta_bits(Rng& rng) {
   return out;
 }
 
+// The comparison circuit (paper step 7), evaluated through the decorated
+// group so the metering decorator counts exactly what runs. Per bit b,
+// with own bit o_b and peer ciphertext E(p_b):
+//
+//   γ_b = o_b XOR p_b       o_b = 0: E(p_b)
+//                           o_b = 1: E(1 - p_b) = E(p_b)^(q-1) · (g, 1)
+//   ω_b = (l-b)·(1 - γ_b) + Σ_{v>b} γ_v    zero iff b is the most
+//                                          significant differing bit
+//   τ_b = ω_b + o_b         zero iff the peer's β is larger
+//
+// Every element's order divides q, so x^(q-e) = inv(x)^e: the complement is
+// two inversions, and ω_b's exponent q - (l-b) collapses to the tiny
+// coefficient l-b — the payload half is one 2-term multi-exp
+// inv(γ.c)^(l-b) · g^(l-b) and the randomness half one (l-b)-width exp, a
+// handful of squarings instead of q-width ladders. The re-randomization
+// raises the joint key, which the AcceleratedGroup under cfg.group serves
+// from its comb table. tests/phase2_oracle_test.cpp pins the output against
+// the literal ct_scale/ct_add_plain evaluation, byte for byte.
 std::vector<Ciphertext> Participant::compare_against(
     const std::vector<Ciphertext>& peer_bits, Rng& rng,
     const crypto::ZeroPool* pool, std::size_t pool_offset) const {
-  if (fast_ != nullptr)
-    return compare_against_accel(peer_bits, rng, pool, pool_offset);
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kCompareCircuit);
   const Group& g = *cfg_.group;
   const std::size_t l = cfg_.spec.beta_bits();
   if (peer_bits.size() != l)
     throw std::invalid_argument("compare_against: wrong bit count");
-  const Nat& q = g.order();
 
-  // γ_b = own_b XOR peer_b, homomorphically (own bit is plaintext):
-  //   own_b = 0:  γ = peer_b            -> copy
-  //   own_b = 1:  γ = 1 - peer_b        -> E(peer)^(q-1) ∘ g^1
   std::vector<Ciphertext> gamma;
   gamma.reserve(l);
   for (std::size_t b = 0; b < l; ++b) {
     if (!beta_.bit(b)) {
       gamma.push_back(peer_bits[b]);
     } else {
-      gamma.push_back(ct_add_plain(
-          g, ct_scale(g, peer_bits[b], Nat::sub(q, Nat{1})), Nat{1}));
+      gamma.push_back(
+          Ciphertext{.c = g.mul(g.inv(peer_bits[b].c), g.generator()),
+                     .cp = g.inv(peer_bits[b].cp)});
     }
   }
 
-  // Suffix sums S_b = Σ_{v>b} γ_v, accumulated from the MSB down. The
-  // trivial ciphertext (1, 1) is a valid encryption of zero.
-  const Ciphertext zero_ct{.c = g.identity(), .cp = g.identity()};
+  // Suffix sums S_b accumulate from the MSB down; the trivial ciphertext
+  // (1, 1) is a valid encryption of zero.
   std::vector<Ciphertext> tau(l);
-  Ciphertext suffix = zero_ct;
+  Ciphertext suffix{.c = g.identity(), .cp = g.identity()};
   for (std::size_t b = l; b-- > 0;) {
-    // ω_b = (l-b)·(1 - γ_b) + S_b  (paper's (l-t+1) with t = b+1);
-    // zero iff b is the most significant differing bit.
     const Nat coeff{static_cast<mpz::Limb>(l - b)};
-    Ciphertext omega = ct_scale(g, gamma[b], Nat::sub(q, coeff % q));
-    omega = ct_add_plain(g, omega, coeff);
-    omega = ct_add(g, omega, suffix);
-    // τ_b = ω_b + own_b: zero iff peer's bit is 1 at the first difference,
-    // i.e. iff peer's β is larger.
-    tau[b] = beta_.bit(b) ? ct_add_plain(g, omega, Nat{1}) : omega;
+    const std::array<Elem, 2> cb{g.inv(gamma[b].c), g.generator()};
+    const std::array<Nat, 2> ce{coeff, coeff};
+    const Ciphertext omega{
+        .c = g.mul(group::multi_exp(g, cb, ce), suffix.c),
+        .cp = g.mul(g.exp(g.inv(gamma[b].cp), coeff), suffix.cp)};
+    tau[b] = beta_.bit(b)
+                 ? Ciphertext{.c = g.mul(omega.c, g.generator()),
+                              .cp = omega.cp}
+                 : omega;
     // Fresh randomness before the set leaves this party: the homomorphic
     // result is otherwise a deterministic function of the published
     // ciphertexts and the own bits, which an adversary could test bit by
     // bit (the paper's Lemma-3 simulator implicitly assumes fresh
-    // encryptions here; see DESIGN.md).
+    // encryptions here; see DESIGN.md). A pool entry replaces the two
+    // exponentiations with two multiplications.
     tau[b] = pool != nullptr
                  ? crypto::rerandomize_with(g, tau[b],
                                             pool->entries.at(pool_offset + b))
@@ -358,148 +364,34 @@ std::vector<Ciphertext> Participant::compare_against(
   return tau;
 }
 
-// Accelerated comparison circuit (FrameworkConfig::accel): same algebra as
-// compare_against above, evaluated through group::multi_exp fusions and the
-// joint-key window table on the undecorated group `*fast_`. Every output
-// ciphertext is value-identical to the naive evaluation (for groups with a
-// unique element representation — Schnorr, mock — bit-identical in memory;
-// for EC only the Jacobian representative may differ, which serialization
-// canonicalizes away), and the same randomness is drawn in the same order.
-// Because the metering decorator never sees this path, it ends by crediting
-// the exact interface-level op counts the naive evaluation reports:
+// One chain hop (paper step 8). Partial decryption and exponent
+// randomization fuse into one 2-term multi-exp per ciphertext —
 //
-//   naive, per circuit over l bits with pop = popcount(own β bits):
-//     kGroupExp   3l + 2·pop   (2l with a pool: the re-randomizations'
-//                               y^r exponentiations disappear)
-//     kGroupExpG  2l + 2·pop   (l + 2·pop with a pool)
-//     kGroupMul   7l + 2·pop
+//   c1 = c / cp^x;  out = (c1^r, cp^r)
+//     = (c^r · cp^(q - x·r mod q), cp^r)
 //
-// The kCompareCircuit / kElGamalRerandomize timers stay in place, so their
-// tallies and histogram sample counts are identical too. Only the accel_*
-// counters (bumped by multi_exp and the key-table hits) differ from an
-// unaccelerated run.
-std::vector<Ciphertext> Participant::compare_against_accel(
-    const std::vector<Ciphertext>& peer_bits, Rng& rng,
-    const crypto::ZeroPool* pool, std::size_t pool_offset) const {
-  const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kCompareCircuit);
-  const Group& f = *fast_;
-  const std::size_t l = cfg_.spec.beta_bits();
-  if (peer_bits.size() != l)
-    throw std::invalid_argument("compare_against: wrong bit count");
-
-  // γ_b = own_b XOR peer_b. The complement's exponent is q-1, and
-  // x^(q-1) = x^{-1} (every element's order divides q) — one group
-  // inversion instead of a full-width ladder. Value-identical: inverses
-  // are unique, and inv() is cheap on every family (EC: negation; Schnorr:
-  // egcd field inverse; mock: 61-bit powmod).
-  std::vector<Ciphertext> gamma;
-  gamma.reserve(l);
-  std::size_t pop = 0;
-  for (std::size_t b = 0; b < l; ++b) {
-    if (!beta_.bit(b)) {
-      gamma.push_back(peer_bits[b]);
-    } else {
-      ++pop;
-      gamma.push_back(Ciphertext{.c = f.mul(f.inv(peer_bits[b].c),
-                                            f.exp_g(Nat{1})),
-                                 .cp = f.inv(peer_bits[b].cp)});
-    }
-  }
-
-  std::vector<Ciphertext> tau(l);
-  Ciphertext suffix{.c = f.identity(), .cp = f.identity()};
-  for (std::size_t b = l; b-- > 0;) {
-    const Nat coeff{static_cast<mpz::Limb>(l - b)};
-    // ω_b's exponent q - coeff collapses the same way: γ^(q-coeff) =
-    // inv(γ)^coeff, and coeff = l-b is tiny (< l), so the fused
-    // accumulation inv(γ.c)^coeff · g^coeff runs a coeff-width Straus
-    // ladder — a handful of squarings — instead of a q-width one.
-    const std::array<Elem, 2> cb{f.inv(gamma[b].c), f.generator()};
-    const std::array<Nat, 2> ce{coeff, coeff};
-    Ciphertext omega{.c = f.mul(group::multi_exp(f, cb, ce), suffix.c),
-                     .cp = f.mul(f.exp(f.inv(gamma[b].cp), coeff),
-                                 suffix.cp)};
-    // τ_b = ω_b (+1 on the payload for an own set bit).
-    tau[b] = beta_.bit(b)
-                 ? Ciphertext{.c = f.mul(omega.c, f.exp_g(Nat{1})),
-                              .cp = omega.cp}
-                 : omega;
-    if (pool != nullptr) {
-      tau[b] = crypto::rerandomize_with(f, tau[b],
-                                        pool->entries.at(pool_offset + b));
-    } else {
-      const runtime::ScopedOpTimer rr(runtime::CryptoOp::kElGamalRerandomize);
-      const Nat r = f.random_nonzero_scalar(rng);
-      Elem yr;
-      if (key_table_ != nullptr) {
-        runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
-        yr = key_table_->exp(f, r);
-      } else {
-        yr = f.exp(joint_key_, r);
-      }
-      tau[b] = Ciphertext{.c = f.mul(tau[b].c, yr),
-                          .cp = f.mul(tau[b].cp, f.exp_g(r))};
-    }
-    suffix = ct_add(f, suffix, gamma[b]);
-  }
-
-  // Credit the naive evaluation's interface-level op profile (table above).
-  using runtime::CryptoOp;
-  runtime::count_op(CryptoOp::kGroupMul, 7 * l + 2 * pop);
-  runtime::count_op(CryptoOp::kGroupExp,
-                    (pool != nullptr ? 2 : 3) * l + 2 * pop);
-  runtime::count_op(CryptoOp::kGroupExpG,
-                    (pool != nullptr ? 1 : 2) * l + 2 * pop);
-  return tau;
-}
-
+// equal because every element's order divides q, so cp^(q-e) = cp^(-e).
+// Metered, each ciphertext reports one accel_multi_exp and one group_exp,
+// no inversion and no multiplication. Randomness: one
+// random_nonzero_scalar per ciphertext, in set order, then the
+// Fisher–Yates draws.
 void Participant::shuffle_hop(CipherSet& set, Rng& rng) {
-  if (fast_ != nullptr) return shuffle_hop_accel(set, rng);
   const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
   const Group& g = *cfg_.group;
-  for (Ciphertext& ct : set) {
-    ct = crypto::partial_decrypt(g, key_.x, ct);
-    ct = crypto::exp_randomize(g, ct, g.random_nonzero_scalar(rng));
-  }
-  // Fisher–Yates with the party's private randomness.
-  for (std::size_t i = set.size(); i-- > 1;)
-    std::swap(set[i], set[rng.below_u64(i + 1)]);
-}
-
-// Accelerated chain hop: partial decryption and exponent randomization fuse
-// into one 2-term multi-exp per ciphertext —
-//
-//   naive:  c1 = c / cp^x;  out = (c1^r, cp^r)       (3 exps + 1 inv + 1 mul)
-//   fused:  out.c = c^r · cp^(q - x·r mod q)          (one multi_exp)
-//           out.cp = cp^r                             (one exp)
-//
-// equal because every element's order divides q, so cp^(q-e) = cp^(-e). For
-// the Schnorr groups — whose inv() is itself a full-width exponentiation —
-// this roughly halves the hop cost. Randomness: the same one
-// random_nonzero_scalar per ciphertext, in the same order, then the same
-// Fisher–Yates draws; credits follow the naive profile per ciphertext
-// (kElGamalPartialDecrypt, kElGamalExpRandomize, 3 kGroupExp, 1 kGroupInv,
-// 1 kGroupMul).
-void Participant::shuffle_hop_accel(CipherSet& set, Rng& rng) {
-  const runtime::ScopedOpTimer op_timer(runtime::CryptoOp::kShuffleHop);
-  const Group& f = *fast_;
-  const Nat& q = f.order();
+  const Nat& q = g.order();
   for (Ciphertext& ct : set) {
     runtime::count_op(runtime::CryptoOp::kElGamalPartialDecrypt);
-    const Nat r = f.random_nonzero_scalar(rng);
+    const Nat r = g.random_nonzero_scalar(rng);
     runtime::count_op(runtime::CryptoOp::kElGamalExpRandomize);
     const Nat e = Nat::sub(q, Nat::mul(key_.x, r) % q);
     const std::array<Elem, 2> bases{ct.c, ct.cp};
     const std::array<Nat, 2> exps{r, e};
-    ct = Ciphertext{.c = group::multi_exp(f, bases, exps),
-                    .cp = f.exp(ct.cp, r)};
+    ct = Ciphertext{.c = group::multi_exp(g, bases, exps),
+                    .cp = g.exp(ct.cp, r)};
   }
+  // Fisher–Yates with the party's private randomness.
   for (std::size_t i = set.size(); i-- > 1;)
     std::swap(set[i], set[rng.below_u64(i + 1)]);
-  using runtime::CryptoOp;
-  runtime::count_op(CryptoOp::kGroupExp, 3 * set.size());
-  runtime::count_op(CryptoOp::kGroupInv, set.size());
-  runtime::count_op(CryptoOp::kGroupMul, set.size());
 }
 
 std::size_t Participant::compute_rank(const CipherSet& own_set) const {
@@ -551,27 +443,22 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
   }
   Obs obs{cfg.metrics, result.metrics.get(), result.spans.get()};
 
-  // Decorator stack the parties bind to (inside-out): the optional
-  // precompute accelerator routes fixed-base exponentiations through shared
-  // comb tables without changing any value, and with metrics on the
-  // interface-level MeteredGroup sits outermost — the measured counterpart
-  // of the CountingGroup runs that calibrate benchcore's cost model, whose
-  // counts are unaffected by what sits below it.
-  std::optional<group::AcceleratedGroup> accel;
-  const Group* proto_group = cfg.group;
+  // Decorator stack the parties bind to (inside-out): the accelerator
+  // routes fixed-base exponentiations through comb tables without changing
+  // any value (the joint-key table is armed once the key exists; the
+  // generator table only when a precompute source supplies one), and with
+  // metrics on the interface-level MeteredGroup sits outermost and counts
+  // every operation the parties run.
+  group::AcceleratedGroup accel{*cfg.group};
   if (cfg.precompute != nullptr) {
-    accel.emplace(*cfg.group);
-    {
-      // Muted: artifact (re)build cost must not show up in this session's
-      // counters — it would make them depend on prior cache state.
-      const runtime::MetricsMute mute;
-      accel->set_generator_table(cfg.precompute->generator_table(*cfg.group));
-    }
-    proto_group = &*accel;
+    // Muted: artifact (re)build cost must not show up in this session's
+    // counters — it would make them depend on prior cache state.
+    const runtime::MetricsMute mute;
+    accel.set_generator_table(cfg.precompute->generator_table(*cfg.group));
   }
-  const group::MeteredGroup metered{*proto_group};
+  const group::MeteredGroup metered{accel};
   FrameworkConfig ecfg = cfg;  // effective config the parties bind to
-  ecfg.group = cfg.metrics ? static_cast<const Group*>(&metered) : proto_group;
+  ecfg.group = cfg.metrics ? static_cast<const Group*>(&metered) : &accel;
   const Group& g = *ecfg.group;
 
   // Either the caller's long-lived pool (session engine) or a private one.
@@ -959,35 +846,29 @@ FrameworkResult run_framework(const FrameworkConfig& cfg, const AttrVec& v0,
                                     Phase::kPhase2,
                                     runtime::kOrchestratorParty};
       const Elem joint = crypto::joint_public_key(g, pubkeys);
-      if (cfg.precompute != nullptr) {
-        // The joint key now exists: fetch/build its comb table and the
-        // zero-encryption pool, and arm the accelerator. This runs between
-        // fork-join barriers, so worker threads of the later steps observe
-        // the attached table through the pool's synchronization. The pool is
-        // the PR-6 widened layout: n·(n-1)·l comparison entries (slice
-        // idx·l for evaluation idx, unchanged), then n·l entries feeding the
-        // bitwise β encryptions (slice n·(n-1)·l + j·l for party j+1).
+      {
+        // The joint key now exists: arm the accelerator's joint-key comb
+        // table and, with a precompute source, fetch the zero-encryption
+        // pool. This runs between fork-join barriers, so worker threads of
+        // the later steps observe the attached table through the pool's
+        // synchronization. Muted: artifact build cost must not show up in
+        // the session's counters. The pool is the widened layout:
+        // n·(n-1)·l comparison entries (slice idx·l for evaluation idx),
+        // then n·l entries feeding the bitwise β encryptions (slice
+        // n·(n-1)·l + j·l for party j+1). Without a source-supplied table
+        // the run builds its own — O(2^w · bits/w) multiplications once,
+        // repaid by the n·(n-1)·l comparison re-randomizations.
         const runtime::MetricsMute mute;
-        key_mat = cfg.precompute->key_material(*cfg.group, joint,
-                                               n * (n - 1) * l + n * l);
-        accel->set_base_table(key_mat.key_table);
+        if (cfg.precompute != nullptr)
+          key_mat = cfg.precompute->key_material(*cfg.group, joint,
+                                                 n * (n - 1) * l + n * l);
+        accel.set_base_table(
+            key_mat.key_table != nullptr
+                ? key_mat.key_table
+                : std::make_shared<const group::FixedBaseTable>(
+                      *cfg.group, joint, cfg.group->order().bit_length()));
       }
       for (auto& p : parts) p.set_joint_key(joint);
-      if (cfg.accel) {
-        // Arm the multi-exp fast path: parties compute through the
-        // undecorated proto_group and credit logical counts themselves. The
-        // joint-key window table comes from the precompute source when one
-        // is attached; otherwise it is built here, muted — its cost is
-        // O(2^w · bits/w) multiplications once per run, repaid by the
-        // n·(n-1)·l re-randomizations.
-        std::shared_ptr<const group::FixedBaseTable> kt = key_mat.key_table;
-        if (kt == nullptr) {
-          const runtime::MetricsMute mute;
-          kt = std::make_shared<const group::FixedBaseTable>(
-              *cfg.group, joint, cfg.group->order().bit_length());
-        }
-        for (auto& p : parts) p.set_accel_context(proto_group, kt);
-      }
     }
     router.next_round();
 

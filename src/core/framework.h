@@ -161,8 +161,7 @@ struct FrameworkConfig {
   /// Execution-engine concurrency for run_framework: 1 = serial (default),
   /// 0 = hardware concurrency, N = N-way fork-join. Outputs are
   /// bit-identical for every value (see DESIGN.md, "Threading model &
-  /// determinism"). Must be 1 when `group` is not thread-safe (e.g.
-  /// group::CountingGroup).
+  /// determinism").
   std::size_t parallelism = 1;
   /// Enables the observability layer (DESIGN.md, "Observability"): the run
   /// wraps `group` in group::MeteredGroup, records hierarchical spans and
@@ -178,20 +177,11 @@ struct FrameworkConfig {
   runtime::ThreadPool* shared_pool = nullptr;
   /// Shared crypto precompute (generator/joint-key comb tables, a zero
   /// -encryption pool for the comparison step and the bitwise β
-  /// encryptions). Null (the default) runs the original non-precomputed
-  /// path. Protocol *outputs* are identical either way; with a source
-  /// attached, per-op group counts shift from exponentiations to
-  /// multiplications (see DESIGN.md §6).
+  /// encryptions). Null (the default) draws fresh randomness instead and
+  /// builds the run's own joint-key table. Protocol *outputs* are identical
+  /// either way; with a source attached, per-op group counts shift from
+  /// exponentiations to multiplications (see DESIGN.md §6).
   PrecomputeSource* precompute = nullptr;
-  /// Phase-2 multi-exponentiation acceleration (DESIGN.md §5e): the
-  /// comparison circuit and the shuffle hops compute through
-  /// group::multi_exp fusions and fixed-base windows on the *undecorated*
-  /// group, then credit the exact interface-level op counts the naive
-  /// evaluation reports — so every output (ranks, β, wire bytes, metrics
-  /// minus the accel_* counters) is bit-identical with the flag on or off,
-  /// at any parallelism. Turn it off for op-count *measurement through the
-  /// group decorator itself* (benchcore's CountingGroup model runs do).
-  bool accel = true;
   /// Deterministic fault schedule routed into the run's net::Router; must
   /// outlive the run. Null or disabled: the fault layer is a strict no-op
   /// and every output/export is bit-identical to a build without it.
@@ -313,7 +303,8 @@ class Participant {
                                             std::size_t pool_offset) const;
   /// Step 7: homomorphic comparison of own (plaintext) bits against another
   /// participant's encrypted bits; returns E(τ^1..τ^l). A zero among the τ
-  /// plaintexts means the peer's β is larger.
+  /// plaintexts means the peer's β is larger. Evaluated with inversions and
+  /// small-exponent 2-term multi-exps through cfg.group (DESIGN.md §5e).
   [[nodiscard]] std::vector<Ciphertext> compare_against(
       const std::vector<Ciphertext>& peer_bits) const {
     return compare_against(peer_bits, rng_);
@@ -332,7 +323,8 @@ class Participant {
       const std::vector<Ciphertext>& peer_bits, Rng& rng,
       const crypto::ZeroPool* pool, std::size_t pool_offset) const;
   /// Step 8: one chain hop over a peer's set — partial decryption with this
-  /// party's key share, per-ciphertext exponent randomization, and a uniform
+  /// party's key share, per-ciphertext exponent randomization (fused into
+  /// one 2-term multi-exp plus one exp per ciphertext), and a uniform
   /// permutation of the set.
   void shuffle_hop(CipherSet& set) { shuffle_hop(set, rng_); }
   void shuffle_hop(CipherSet& set, Rng& rng);
@@ -343,25 +335,10 @@ class Participant {
   [[nodiscard]] std::optional<Initiator::Submission> submission(
       std::size_t rank) const;
 
-  /// Arms the phase-2 multi-exponentiation fast path (FrameworkConfig::
-  /// accel): `fast` is the undecorated group the accelerated
-  /// compare_against / shuffle_hop compute through (bypassing any metering
-  /// decorator — the fast path credits the naive op counts itself), and
-  /// `key_table` is a fixed-base window table for the joint public key used
-  /// by the circuit re-randomizations. Both must outlive this party; null
-  /// `fast` restores the naive path. Call after set_joint_key.
-  void set_accel_context(const Group* fast,
-                         std::shared_ptr<const group::FixedBaseTable> key_table);
-
   [[nodiscard]] std::size_t id() const { return id_; }
   [[nodiscard]] const AttrVec& info() const { return info_; }
 
  private:
-  [[nodiscard]] std::vector<Ciphertext> compare_against_accel(
-      const std::vector<Ciphertext>& peer_bits, Rng& rng,
-      const crypto::ZeroPool* pool, std::size_t pool_offset) const;
-  void shuffle_hop_accel(CipherSet& set, Rng& rng);
-
   const FrameworkConfig& cfg_;
   std::size_t id_;
   AttrVec info_;
@@ -371,9 +348,6 @@ class Participant {
   crypto::KeyPair key_;
   bool key_generated_ = false;
   Elem joint_key_;
-  // Accelerated-path context (set_accel_context); naive when fast_ is null.
-  const Group* fast_ = nullptr;
-  std::shared_ptr<const group::FixedBaseTable> key_table_;
 };
 
 /// Outputs plus observability data.

@@ -17,16 +17,14 @@ namespace {
 using runtime::CryptoOp;
 using runtime::Phase;
 
-// Session registries never carry the cache counters, and the accel_*
-// counters are the one family allowed to differ between the accelerated
-// real run and the unaccelerated reference — everything else is audited.
+// Session registries never carry the cache counters, and batched inversion
+// is internal to the elliptic-curve codec (the mock reference has none) —
+// everything else, multi-exps and table-served exps included, runs the same
+// code path in the reference and the real session and is audited.
 bool audited_op(std::size_t i) {
   switch (static_cast<CryptoOp>(i)) {
     case CryptoOp::kPrecomputeHit:
     case CryptoOp::kPrecomputeMiss:
-    case CryptoOp::kAccelMultiExp:
-    case CryptoOp::kAccelMultiExpTerm:
-    case CryptoOp::kAccelFixedBaseExp:
     case CryptoOp::kAccelBatchInverse:
       return false;
     default:
@@ -150,10 +148,11 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
     return;
   }
   // Differential reference execution: the same instance replayed on a cheap
-  // mock group, serial and unaccelerated, with mirrored precompute (a
-  // source shifts metered exponentiations to multiplications, so the
-  // reference must use one too). The determinism invariant makes its
-  // deterministic outputs exact predictions for the real session.
+  // mock group, serially, through the one phase-2 code path the real session
+  // runs, with mirrored precompute (a source shifts metered exponentiations
+  // to multiplications, so the reference must use one too). The determinism
+  // invariant makes its deterministic outputs exact predictions for the
+  // real session.
   group::MockGroup ref_group{"audit-ref", 32, 61};
   RefSource source;
   core::FrameworkConfig ref;
@@ -165,7 +164,6 @@ ConformanceAuditor::ConformanceAuditor(Config cfg, const core::AttrVec& v0,
   ref.dot_s = cfg_.dot_s;
   ref.parallelism = 1;
   ref.metrics = true;
-  ref.accel = false;
   ref.precompute = &source;
   const core::FrameworkResult r = core::run_framework(ref, v0, w, infos, rng);
   for (std::size_t p = 0; p < runtime::kPhaseCount; ++p) {

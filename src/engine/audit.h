@@ -13,8 +13,9 @@
 // Expectations per framework:
 //  - HE: a differential reference execution at construction time — the same
 //    (spec, n, k, inputs) and an identically-seeded rng replayed through
-//    run_framework on a cheap 61-bit MockGroup, serial, unaccelerated, with
-//    a private precompute source mirroring the engine's. The determinism
+//    run_framework on a cheap 61-bit MockGroup, serially, with a private
+//    precompute source mirroring the engine's — the same code path the
+//    session runs, so its counts are the session's, not a formula's. The determinism
 //    invariant ("bit-identical at any parallelism / cache state") makes its
 //    per-phase op tallies, submitted set and round count exact predictions
 //    for the real session. Comm bytes come from benchcore::model_he_comm on

@@ -1,12 +1,14 @@
 // Precompute-accelerated decorator over any Group.
 //
-// The session engine's counterpart of MeteredGroup: instead of counting
-// calls it routes them through fixed-base comb tables (group/fixed_base.h)
-// when one is attached —
+// Every phase-2 party computes through this decorator: instead of counting
+// calls (MeteredGroup's job, layered on top when metrics are on) it routes
+// them through fixed-base comb tables (group/fixed_base.h) when one is
+// attached —
 //
-//   exp_g(s)      -> generator table (every encryption / re-randomization)
+//   exp_g(s)      -> generator table (the session engine's shared one)
 //   exp(base, s)  -> joint-key table when `base` equals the table's base
-//                    (the other half of every encryption)
+//                    (every encryption and comparison-circuit
+//                    re-randomization raises the joint key)
 //
 // Tables are attached after construction because the joint ElGamal key only
 // exists once phase-2 keygen has run; run_framework installs the key table
@@ -14,12 +16,12 @@
 // through the pool's synchronization (no atomics needed — same discipline
 // as every other orchestrator-owned structure).
 //
-// Mathematically the decorator is invisible: a comb table computes exactly
-// base^scalar, so wrapping a group in AcceleratedGroup never changes any
-// protocol output — only where the multiplications come from. Layering
-// under MeteredGroup keeps the interface-level op counts unchanged too
-// (the comb's internal muls are deliberately uncounted, matching how
-// SchnorrGroup::exp_g's own table works).
+// A comb table computes exactly base^scalar, so the decorator never changes
+// a protocol output — only where the multiplications come from. The comb's
+// internal muls stay uncounted (matching how SchnorrGroup::exp_g's own
+// table works); a joint-key table hit counts one kAccelFixedBaseExp, so the
+// cost model can price the exps it served as fixed-base ones. dual_exp is
+// forwarded so the inner group's native 2-term ladder survives decoration.
 #pragma once
 
 #include <memory>
@@ -27,6 +29,7 @@
 
 #include "group/fixed_base.h"
 #include "group/group.h"
+#include "runtime/metrics.h"
 
 namespace ppgr::group {
 
@@ -56,13 +59,19 @@ class AcceleratedGroup final : public Group {
     return inner_.mul(x, y);
   }
   [[nodiscard]] Elem exp(const Elem& base, const Nat& scalar) const override {
-    if (base_table_ != nullptr && inner_.eq(base, base_table_->base()))
+    if (base_table_ != nullptr && inner_.eq(base, base_table_->base())) {
+      runtime::count_op(runtime::CryptoOp::kAccelFixedBaseExp);
       return base_table_->exp(inner_, scalar);
+    }
     return inner_.exp(base, scalar);
   }
   [[nodiscard]] Elem exp_g(const Nat& scalar) const override {
     if (gen_table_ != nullptr) return gen_table_->exp(inner_, scalar);
     return inner_.exp_g(scalar);
+  }
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override {
+    return inner_.dual_exp(x, ex, y, ey);
   }
   [[nodiscard]] Elem inv(const Elem& x) const override {
     return inner_.inv(x);

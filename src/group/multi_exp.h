@@ -25,11 +25,11 @@
 // tests/multiexp_test.cpp pins them against naive Group::exp on random and
 // edge-case inputs.
 //
-// Metrics: multi_exp() bumps the kAccelMultiExp/kAccelMultiExpTerm counters
-// (the explicit straus/pippenger entry points do not). It never credits
-// logical group-op counters — callers on the accelerated protocol path are
-// responsible for crediting the interface-level ops the unaccelerated
-// algorithm would have reported (see core/framework.cpp).
+// Metrics: multi_exp() counts one kAccelMultiExp and one kAccelMultiExpTerm
+// per term (the explicit straus/pippenger entry points do not). Its 2-term
+// calls go to Group::dual_exp, which the decorators forward uncounted, so a
+// metered multi-exp reports exactly that one evaluation — the work that ran.
+// Larger shapes run through g's mul() and are counted there as well.
 #pragma once
 
 #include <span>

@@ -70,8 +70,8 @@ inline constexpr std::int32_t kOrchestratorParty = -1;
 /// The expensive operations of the protocol stack, at the granularity the
 /// paper's Sec. VI-B analysis counts them.
 enum class CryptoOp : std::uint8_t {
-  // group layer (counted by group::MeteredGroup at the Group interface,
-  // identical semantics to group::CountingGroup)
+  // group layer (counted by group::MeteredGroup at the Group interface;
+  // a comb-table exp counts as one exp, not as the muls inside it)
   kGroupMul = 0,
   kGroupExp,        // variable-base exponentiation
   kGroupExpG,       // fixed-base (generator) exponentiation
@@ -107,15 +107,13 @@ enum class CryptoOp : std::uint8_t {
   // before it).
   kPrecomputeHit,
   kPrecomputeMiss,
-  // accelerated-execution counters (PR 6): how often the phase-2 hot path
-  // took a fast route — simultaneous multi-exponentiation (group/multi_exp),
-  // fixed-base comb exponentiation through an attached table, and batched
-  // Montgomery inversion for affine normalization. These run *in parallel*
-  // to the logical group-op counters above: an accelerated path credits the
-  // exact interface-level ops the unaccelerated algorithm would have
-  // reported (so validate_model --check stays exact) and additionally bumps
-  // these. They are deterministic functions of the run configuration, and
-  // the only metrics keys allowed to differ between accel-on and accel-off.
+  // accelerated-execution counters: simultaneous multi-exponentiations
+  // (counted by group::multi_exp; the decorators forward the 2-term ladder
+  // uncounted, so one evaluation is one count and no group_mul), joint-key
+  // exps served by a comb table (counted by group::AcceleratedGroup on a
+  // table hit, next to the group_exp MeteredGroup counts for the same call),
+  // and batched Montgomery inversion for affine normalization (EC codec).
+  // All count work that ran, and are deterministic functions of the run.
   kAccelMultiExp,      // one multi_exp evaluation
   kAccelMultiExpTerm,  // terms across all multi_exp evaluations
   kAccelFixedBaseExp,  // exps served by a non-generator fixed-base table

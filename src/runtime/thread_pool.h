@@ -12,8 +12,7 @@
 // but callers make each index self-contained (own RNG stream, own output
 // slot), so the *results* are identical for any thread count — including
 // the inline path. `threads <= 1` spawns no workers at all and runs every
-// index on the caller; this is the default engine and the only mode safe
-// for non-thread-safe decorators (e.g. group::CountingGroup).
+// index on the caller; this is the default engine.
 #pragma once
 
 #include <cstddef>

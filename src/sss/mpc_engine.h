@@ -19,8 +19,8 @@
 //  - kCountOnly: no share arithmetic at all; counters advance as if every
 //    randomized retry succeeded on the first try (the expected case; see
 //    EXPERIMENTS.md). This mode prices protocols at parameter scales where
-//    full execution would take hours — same idea as CountingGroup for the
-//    HE frameworks.
+//    full execution would take hours — same idea as the metered MockGroup
+//    runs that count the HE frameworks.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,6 @@
 namespace ppgr::benchcore {
 namespace {
 
-using group::CountingGroup;
 using group::GroupId;
 using group::MockGroup;
 using mpz::ChaChaRng;
@@ -53,35 +52,37 @@ TEST(MockGroup, SerializationCarriesModeledSize) {
 }
 
 TEST(Model, MockCountsEqualRealGroupCounts) {
-  // The foundation of the whole cost model: a protocol run counted over the
+  // The foundation of the whole cost model: a protocol run metered over the
   // mock group charges exactly the same operations as one over a real group
-  // (the operation sequence is data-independent).
+  // (the operation sequence is data-independent, and both take the one
+  // phase-2 code path).
   const core::ProblemSpec spec{.m = 3, .t = 1, .d1 = 5, .d2 = 4, .h = 5};
   const std::size_t n = 3, k = 1;
   const auto real = group::make_group(GroupId::kDlTest256);
-  const CountingGroup counted_real{*real};
 
   core::FrameworkConfig cfg;
   cfg.spec = spec;
   cfg.n = n;
   cfg.k = k;
-  cfg.group = &counted_real;
+  cfg.group = real.get();
   cfg.dot_field = &core::default_dot_field();
-  // Counting through the decorator: the accelerated path computes past it
-  // (crediting runtime counters instead), so it must be off here, exactly
-  // as in count_he_framework.
-  cfg.accel = false;
+  cfg.metrics = true;
   const Instance inst = random_instance(spec, n, 99);
   ChaChaRng rng{100};
-  (void)core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+  const auto run = core::run_framework(cfg, inst.v0, inst.w, inst.infos, rng);
+  const OpCounts real_counts = group_op_counts(run.metrics->totals());
 
   const HeCounts mock_counts = count_he_framework(
       spec, n, k, real->element_bytes(), real->field_bits(), 99);
-  EXPECT_EQ(mock_counts.per_participant.muls, counted_real.counts().muls / n);
-  EXPECT_EQ(mock_counts.per_participant.exps, counted_real.counts().exps / n);
-  EXPECT_EQ(mock_counts.per_participant.invs, counted_real.counts().invs / n);
-  EXPECT_EQ(mock_counts.per_participant.gexps,
-            counted_real.counts().gexps / n);
+  const OpCounts& mock = mock_counts.per_participant;
+  EXPECT_EQ(mock.muls, real_counts.muls / n);
+  EXPECT_EQ(mock.exps, real_counts.exps / n);
+  EXPECT_EQ(mock.fixed_base_exps, real_counts.fixed_base_exps / n);
+  EXPECT_EQ(mock.invs, real_counts.invs / n);
+  EXPECT_EQ(mock.gexps, real_counts.gexps / n);
+  EXPECT_EQ(mock.multi_exps, real_counts.multi_exps / n);
+  EXPECT_GT(mock.multi_exps, 0u);
+  EXPECT_GT(mock.fixed_base_exps, 0u);
 }
 
 TEST(Model, CalibrationProducesPositiveCosts) {
@@ -90,6 +91,7 @@ TEST(Model, CalibrationProducesPositiveCosts) {
   const GroupCosts costs = calibrate_group(*g, rng);
   EXPECT_GT(costs.mul_s, 0.0);
   EXPECT_GT(costs.exp_s, costs.mul_s);  // an exp is many muls
+  EXPECT_GT(costs.multi_exp2_s, costs.mul_s);
   EXPECT_GT(costs.inv_s, 0.0);
   EXPECT_GT(costs.serialize_s, 0.0);
 }
@@ -105,16 +107,21 @@ TEST(Model, SsCalibrationProducesPositiveCosts) {
 }
 
 TEST(Model, PricingIsLinearInCounts) {
-  GroupCosts costs{.mul_s = 1e-6, .exp_s = 1e-3, .inv_s = 1e-3,
+  GroupCosts costs{.mul_s = 1e-6, .exp_s = 1e-3, .gexp_s = 2e-4,
+                   .multi_exp2_s = 1.5e-3, .inv_s = 1e-3,
                    .serialize_s = 1e-7};
-  group::OpCounts counts;
+  OpCounts counts;
   counts.muls = 1000;
   counts.exps = 10;
+  counts.fixed_base_exps = 4;  // of the 10: priced as fixed-base exps
+  counts.multi_exps = 3;
   const double t1 = price_group_ops(counts, costs);
   counts.muls *= 2;
   counts.exps *= 2;
+  counts.fixed_base_exps *= 2;
+  counts.multi_exps *= 2;
   EXPECT_DOUBLE_EQ(price_group_ops(counts, costs), 2 * t1);
-  EXPECT_NEAR(t1, 1000 * 1e-6 + 10 * 1e-3, 1e-12);
+  EXPECT_NEAR(t1, 1000 * 1e-6 + 6 * 1e-3 + 4 * 2e-4 + 3 * 1.5e-3, 1e-12);
 }
 
 TEST(Model, HeCountsScaleQuadraticallyInN) {

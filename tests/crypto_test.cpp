@@ -4,7 +4,7 @@
 
 #include "crypto/elgamal.h"
 #include "crypto/schnorr_proof.h"
-#include "group/counting_group.h"
+#include "group/group.h"
 
 namespace ppgr::crypto {
 namespace {

@@ -1,13 +1,19 @@
 // Tests for the group layer: abstract group laws over every instantiation,
 // safe-prime parameter validation, elliptic-curve specifics, serialization,
-// and the op-counting decorator.
+// and the decorators (metering, precompute acceleration).
 #include <gtest/gtest.h>
 
-#include "group/counting_group.h"
+#include <array>
+
+#include "group/accel_group.h"
 #include "group/fixed_base.h"
 #include "group/ec_group.h"
 #include "group/group.h"
+#include "group/metered_group.h"
+#include "group/mock_group.h"
+#include "group/multi_exp.h"
 #include "group/schnorr_group.h"
+#include "runtime/metrics.h"
 #include "mpz/modarith.h"
 #include "mpz/prime.h"
 
@@ -213,26 +219,134 @@ TEST(EcGroup, DeserializeRejectsOffCurvePoint) {
   EXPECT_THROW((void)curve.deserialize(bytes), std::invalid_argument);
 }
 
-TEST(CountingGroup, CountsAndForwards) {
+TEST(MeteredGroup, CountsAndForwards) {
+  using runtime::CryptoOp;
   const auto inner = make_group(GroupId::kEcP192);
-  CountingGroup g{*inner};
+  const MeteredGroup g{*inner};
   ChaChaRng rng{6};
   const Nat x = g.random_scalar(rng);
-  const Elem e = g.exp_g(x);          // fixed-base: counted as gexps
-  (void)g.exp(e, x);                  // variable-base: counted as exps
+  runtime::MetricsBuffer buf;
+  Elem e;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    e = g.exp_g(x);  // fixed-base: counted as group_exp_g
+    (void)g.exp(e, x);  // variable-base: counted as group_exp
+    (void)g.mul(e, e);
+    (void)g.inv(e);
+    (void)g.deserialize(g.serialize(e));
+  }
+  // Outside the scope nothing is counted.
   (void)g.mul(e, e);
-  (void)g.inv(e);
-  (void)g.serialize(e);
-  EXPECT_EQ(g.counts().gexps, 1u);
-  EXPECT_EQ(g.counts().exps, 1u);
-  EXPECT_EQ(g.counts().muls, 1u);
-  EXPECT_EQ(g.counts().invs, 1u);
-  EXPECT_EQ(g.counts().serializations, 1u);
-  EXPECT_EQ(g.counts().exp_bits, x.bit_length());
+  ASSERT_EQ(buf.slots().size(), 1u);
+  const runtime::OpTally& t = buf.slots()[0].tally;
+  EXPECT_EQ(t[CryptoOp::kGroupExpG], 1u);
+  EXPECT_EQ(t[CryptoOp::kGroupExp], 1u);
+  EXPECT_EQ(t[CryptoOp::kGroupMul], 1u);
+  EXPECT_EQ(t[CryptoOp::kGroupInv], 1u);
+  EXPECT_EQ(t[CryptoOp::kGroupSerialize], 1u);
+  EXPECT_EQ(t[CryptoOp::kGroupDeserialize], 1u);
   // Forwarded results match the inner group.
   EXPECT_TRUE(inner->eq(e, inner->exp_g(x)));
-  g.reset();
-  EXPECT_EQ(g.counts().muls, 0u);
+}
+
+// Forwards everything to a mock group and counts the dual_exp and mul calls
+// that reach it.
+class CallCountingGroup final : public Group {
+ public:
+  explicit CallCountingGroup(const Group& inner) : inner_(inner) {}
+  mutable std::size_t dual_exps = 0;
+  mutable std::size_t muls = 0;
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] const Nat& order() const override { return inner_.order(); }
+  [[nodiscard]] std::size_t field_bits() const override {
+    return inner_.field_bits();
+  }
+  [[nodiscard]] Elem generator() const override { return inner_.generator(); }
+  [[nodiscard]] Elem identity() const override { return inner_.identity(); }
+  [[nodiscard]] Elem mul(const Elem& x, const Elem& y) const override {
+    ++muls;
+    return inner_.mul(x, y);
+  }
+  [[nodiscard]] Elem exp(const Elem& b, const Nat& s) const override {
+    return inner_.exp(b, s);
+  }
+  [[nodiscard]] Elem dual_exp(const Elem& x, const Nat& ex, const Elem& y,
+                              const Nat& ey) const override {
+    ++dual_exps;
+    return inner_.dual_exp(x, ex, y, ey);
+  }
+  [[nodiscard]] Elem inv(const Elem& x) const override { return inner_.inv(x); }
+  [[nodiscard]] bool eq(const Elem& x, const Elem& y) const override {
+    return inner_.eq(x, y);
+  }
+  [[nodiscard]] bool is_identity(const Elem& x) const override {
+    return inner_.is_identity(x);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> serialize(
+      const Elem& x) const override {
+    return inner_.serialize(x);
+  }
+  [[nodiscard]] Elem deserialize(
+      std::span<const std::uint8_t> bytes) const override {
+    return inner_.deserialize(bytes);
+  }
+  [[nodiscard]] std::size_t element_bytes() const override {
+    return inner_.element_bytes();
+  }
+
+ private:
+  const Group& inner_;
+};
+
+TEST(Decorators, ForwardDualExpToTheInnerGroup) {
+  // A 2-term multi_exp over the engine's decorator stack must reach the
+  // inner group's dual_exp (SchnorrGroup's Montgomery-native ladder), not
+  // run the generic ladder through the decorators' mul().
+  const MockGroup mock{"mock", 32, 61};
+  const CallCountingGroup stub{mock};
+  const AcceleratedGroup accel{stub};
+  const MeteredGroup metered{accel};
+  ChaChaRng rng{16};
+  const std::array<Elem, 2> bases{mock.exp_g(mock.random_scalar(rng)),
+                                  mock.exp_g(mock.random_scalar(rng))};
+  const std::array<Nat, 2> exps{mock.random_scalar(rng),
+                                mock.random_scalar(rng)};
+  runtime::MetricsBuffer buf;
+  Elem got;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    got = multi_exp(metered, bases, exps);
+  }
+  EXPECT_EQ(stub.dual_exps, 1u);
+  EXPECT_EQ(stub.muls, 0u);
+  EXPECT_TRUE(mock.eq(got, mock.mul(mock.exp(bases[0], exps[0]),
+                                    mock.exp(bases[1], exps[1]))));
+  // The one evaluation is counted once, by multi_exp itself.
+  const runtime::OpTally& t = buf.slots().at(0).tally;
+  EXPECT_EQ(t[runtime::CryptoOp::kAccelMultiExp], 1u);
+  EXPECT_EQ(t[runtime::CryptoOp::kAccelMultiExpTerm], 2u);
+  EXPECT_EQ(t[runtime::CryptoOp::kGroupMul], 0u);
+}
+
+TEST(AcceleratedGroup, CountsJointKeyTableHits) {
+  // exp() on the table's base is served by the table (same value) and
+  // counted as one fixed-base exp; any other base falls through uncounted.
+  const auto inner = make_group(GroupId::kDlTest256);
+  AcceleratedGroup g{*inner};
+  ChaChaRng rng{17};
+  const Elem key = inner->exp_g(inner->random_nonzero_scalar(rng));
+  g.set_base_table(std::make_shared<const FixedBaseTable>(
+      *inner, key, inner->order().bit_length()));
+  const Nat s = inner->random_nonzero_scalar(rng);
+  runtime::MetricsBuffer buf;
+  {
+    const runtime::MetricsScope scope{&buf, runtime::Phase::kPhase2, 1};
+    EXPECT_TRUE(inner->eq(g.exp(key, s), inner->exp(key, s)));
+    EXPECT_TRUE(inner->eq(g.exp(inner->generator(), s), inner->exp_g(s)));
+  }
+  EXPECT_EQ(buf.slots().at(0).tally[runtime::CryptoOp::kAccelFixedBaseExp],
+            1u);
 }
 
 class FixedBaseOverGroups : public ::testing::TestWithParam<GroupId> {};
